@@ -35,7 +35,7 @@ from .scenario import (
     build_preference_voronoi,
     preset_preference,
 )
-from .lp import LpError, LpModel, LpSolution, RecourseError, solve, solve_arrays
+from .lp import LpError, LpModel, LpSolution, RecourseError, solve_arrays
 from .extensive import (
     cost_to_go_oracle,
     dr_cost_to_go_oracle,
@@ -43,7 +43,7 @@ from .extensive import (
     extensive_form_marsrm,
 )
 from .sddp import TrainOptions, TrainReport, train
-from .dr import DrCut, MomentAmbiguitySet, dr_train, worst_case_arsrm
+from .dr import MomentAmbiguitySet, dr_train, worst_case_arsrm
 from .benchmark import (
     AssetInstanceConfig,
     build_asset_instance,
@@ -59,7 +59,6 @@ __all__ = [
     "AssetInstanceConfig",
     "CvarDualWeights",
     "DiscreteDistribution",
-    "DrCut",
     "LpError",
     "LpModel",
     "LpSolution",
@@ -92,7 +91,6 @@ __all__ = [
     "preset_preference",
     "project_spectrum",
     "quantile",
-    "solve",
     "solve_arrays",
     "srm",
     "step_spectrum_error_bound",

@@ -3,18 +3,20 @@
 The stage risk is the worst case of the CVaR combination over all preference
 weights matching a given mean and covariance on a finite support. Strong
 duality turns the inner sup into a small set of dual variables and support
-rows that ride along inside every stage LP. The SDDP variant keeps one cut
-pool per scenario (the dual block couples scenarios inside each LP, so cuts
-must stay scenario-wise) and scenario-wise upper envelopes. Per-scenario
-solves within a backward step are independent; appends happen in fixed
-scenario order, so runs are schedule-independent and seed-reproducible.
+rows, the moment-dual block, which :func:`moment_dual_block` builds once per
+stage. ``DrSddp`` plugs that block into the shared bound iteration of
+:mod:`msrisk.sddp` as its stage risk block, with one cut pool per scenario
+(the dual block couples scenarios inside each LP, so cuts must stay
+scenario-wise) and scenario-wise upper envelopes. Per-scenario solves within
+a backward step are independent; appends happen in fixed scenario order, so
+runs are schedule-independent and seed-reproducible.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Optional
+from functools import lru_cache
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -27,8 +29,8 @@ from .risk import (
     arsrm_weights,
     combination_spectrum,
 )
-from .scenario import RngStream, ScenarioLattice
-from .sddp import Cut, CutPool, TrainOptions, TrainReport, _dedupe
+from .scenario import ScenarioLattice
+from .sddp import BoundIteration, Cut, CutPool, TrainReport
 
 
 @dataclass(frozen=True)
@@ -165,6 +167,68 @@ def _check_equiprobable(probs, K):
         )
 
 
+def resolve_ambiguities(lattice: ScenarioLattice, ambs) -> tuple[dict, dict]:
+    """Ambiguity sets and their CVaR-combination weights, per stage ``2..T``.
+
+    ``ambs`` is one set for every stage or a sequence with one per stage. The
+    robust combination is defined on the equiprobable grid only, so a stage
+    that is not equiprobable raises ``UnsupportedConfigurationError``.
+    """
+    T = lattice.horizon
+    if not isinstance(ambs, (list, tuple)):
+        ambs = [ambs] * (T - 1)
+    if len(ambs) != T - 1:
+        raise ValueError(f"need one ambiguity set per stage 2..{T}")
+    for t in range(2, T + 1):
+        if not lattice.is_equiprobable(t):
+            raise UnsupportedConfigurationError(
+                f"stage {t} is not equiprobable; the robust combination "
+                "requires equiprobable stages"
+            )
+    amb_map = {t: ambs[t - 2] for t in range(2, T + 1)}
+    return amb_map, {t: amb.stage_weights(lattice.size(t)) for t, amb in amb_map.items()}
+
+
+class MomentDualBlock(NamedTuple):
+    """Moment-dual block over the columns ``[zeta, eta (K), Delta (K*K)]``.
+
+    ``obj`` prices the columns; ``support`` has one ``<= 0`` row per support
+    point. ``level`` spans ``[eta, Delta]``: row ``k*K + j`` is
+    ``-eta_k - Delta_{k,j}``, bounded by minus the value of scenario j.
+    """
+
+    obj: np.ndarray
+    support: np.ndarray
+    level: np.ndarray
+
+    @property
+    def bounds(self) -> list:
+        n_delta = self.level.shape[0]
+        return [(None, None)] * (self.obj.size - n_delta) + [(0, None)] * n_delta
+
+
+@lru_cache(maxsize=8)  # shared by every stage with K scenarios
+def _level_rows(K: int) -> np.ndarray:
+    rows = np.arange(K * K)
+    level = np.zeros((K * K, K + K * K))
+    level[rows, rows // K] = -1.0  # eta_k
+    level[rows, K + rows] = -1.0  # Delta_{k,j}
+    level.setflags(write=False)
+    return level
+
+
+def moment_dual_block(amb: MomentAmbiguitySet, weights: ArsrmWeights) -> MomentDualBlock:
+    """Build the moment-dual block of ``amb`` under its CVaR-combination weights."""
+    rows, obj = amb.dual_coefficients()
+    K = weights.K
+    caps = 1.0 / (1.0 - weights.alpha_levels)
+    costs = np.concatenate([obj, np.zeros(K + K * K)])
+    support = np.hstack(
+        [-rows, weights.beta, np.repeat(weights.beta * caps / K, K, axis=1)]
+    )
+    return MomentDualBlock(costs, support, _level_rows(K))
+
+
 def worst_case_arsrm(values, probs, amb: MomentAmbiguitySet, weights: ArsrmWeights) -> float:
     """Worst-case combination ``sup_q sum_{l,k} q_l beta_{l,k} CVaR_{alpha_k}``.
 
@@ -177,28 +241,11 @@ def worst_case_arsrm(values, probs, amb: MomentAmbiguitySet, weights: ArsrmWeigh
     _check_equiprobable(probs, K)
     if weights.K != K:
         raise ValueError("weights were built for a different scenario count")
-    S = amb.size
-    rows, obj = amb.dual_coefficients()
-    zdim = obj.size
-    caps = 1.0 / (1.0 - weights.alpha_levels)
-    # variables: [zeta (zdim), eta (K), Delta (K*K)]
-    dim = zdim + K + K * K
-    c = np.zeros(dim)
-    c[:zdim] = obj
-    A_ub = np.zeros((S + K * K, dim))
-    b_ub = np.zeros(S + K * K)
-    for l in range(S):
-        A_ub[l, :zdim] = -rows[l]
-        A_ub[l, zdim : zdim + K] = weights.beta[l]
-        A_ub[l, zdim + K :] = np.repeat(weights.beta[l] * caps / K, K)
-    for k in range(K):
-        for j in range(K):
-            r = S + k * K + j
-            A_ub[r, zdim + k] = -1.0
-            A_ub[r, zdim + K + k * K + j] = -1.0
-            b_ub[r] = -v[j]
-    bounds = [(None, None)] * (zdim + K) + [(0, None)] * (K * K)
-    sol = solve_arrays(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds)
+    block = moment_dual_block(amb, weights)
+    zdim = block.obj.size - K - K * K
+    A_ub = np.vstack([block.support, np.hstack([np.zeros((K * K, zdim)), block.level])])
+    b_ub = np.concatenate([np.zeros(amb.size), -np.tile(v, K)])
+    sol = solve_arrays(block.obj, A_ub=A_ub, b_ub=b_ub, bounds=block.bounds)
     if not sol.is_optimal:
         raise LpError(f"moment-dual LP is {sol.status}")
     return float(sol.objective)
@@ -215,15 +262,6 @@ def worst_case_arsrm_primal(values, amb: MomentAmbiguitySet, weights: ArsrmWeigh
     if not sol.is_optimal:
         raise LpError(f"moment-primal LP is {sol.status}")
     return -float(sol.objective)
-
-
-@dataclass(frozen=True)
-class DrCut:
-    """Scenario-wise affine minorant of the robust cost-to-go."""
-
-    scenario: int
-    intercept: float
-    gradient: np.ndarray
 
 
 def dr_stage_subproblem(
@@ -281,316 +319,127 @@ def dr_stage_subproblem(
     return model
 
 
-class DrSddp:
-    """Multi-cut robust bound iteration over a scenario lattice."""
+class DrSddp(BoundIteration):
+    """Multi-cut robust bound iteration over a scenario lattice.
+
+    The risk block has the columns ``[zeta, eta, Delta, u]``: the moment-dual
+    block plus ``u_j``, the epigraph of next-stage scenario j's cuts (which
+    equals writing each cut against every level row, with far fewer rows).
+    """
 
     def __init__(self, lattice: ScenarioLattice, ambs, options=None):
-        self.lattice = lattice
-        self.T = lattice.horizon
-        self.options = options or TrainOptions()
-        if not isinstance(ambs, (list, tuple)):
-            ambs = [ambs] * (self.T - 1)
-        if len(ambs) != self.T - 1:
-            raise ValueError(f"need one ambiguity set per stage 2..{self.T}")
-        self.ambs = {t: ambs[t - 2] for t in range(2, self.T + 1)}
-        self.weights = {}
-        for t in range(2, self.T + 1):
-            if not lattice.is_equiprobable(t):
-                raise UnsupportedConfigurationError(
-                    "the robust combination requires equiprobable stages"
-                )
-            self.weights[t] = self.ambs[t].stage_weights(lattice.size(t))
+        super().__init__(lattice, options)
+        self.ambs, self.weights = resolve_ambiguities(lattice, ambs)
+        self._blocks = {
+            t: moment_dual_block(amb, self.weights[t]) for t, amb in self.ambs.items()
+        }
         big = self.options.big
         self.pools = {
             t: [CutPool(lattice.num_vars(t - 1), big) for _ in range(lattice.size(t))]
             for t in range(2, self.T + 1)
         }
-        # archive[t]: visited x_t states with per-scenario upper values of
-        # stage t+1, keyed by state; revisits keep scenario-wise lowest values
-        self.archives = {t: {} for t in range(1, self.T)}
-        self._archive_cache = {}
-        self.visited = {t: {} for t in range(1, self.T)}
-        self._coupling_masks = {}
-        self._forward_rng = RngStream(self.options.seed).generator("forward")
-        self._iteration = 0
 
-    # -- solves -----------------------------------------------------------------
-    def _lower_blocks(self, t):
-        """Constant inequality blocks of the stage-t lower LP, plus cut rows."""
+    forward_pass = BoundIteration.forward_pass
+    backward_pass = BoundIteration.backward_pass
+    upper_sweep = BoundIteration.upper_sweep
+
+    def _stage_pools(self, t):
+        return self.pools[t]
+
+    def _robust_rows(self, t, n, middle):
+        """``<=`` rows of a stage-t robust LP over ``[x, zeta, eta, Delta, u, ...]``.
+
+        The support rows come first, then ``middle``, then the level rows,
+        whose ``u_j`` entries close each level against scenario j.
+        """
+        block = self._blocks[t + 1]
         K = self.lattice.size(t + 1)
-        amb = self.ambs[t + 1]
-        w = self.weights[t + 1]
-        rows, obj = amb.dual_coefficients()
-        zdim = obj.size
-        caps = 1.0 / (1.0 - w.alpha_levels)
-        return K, amb, w, rows, obj, zdim, caps
+        d = block.obj.size
+        top = np.zeros((block.support.shape[0], middle.shape[1]))
+        top[:, n : n + d] = block.support
+        bottom = np.zeros((K * K, middle.shape[1]))
+        bottom[:, n + d - K - K * K : n + d] = block.level
+        bottom[:, n + d : n + d + K] = np.tile(np.eye(K), (K, 1))
+        return np.vstack([top, middle, bottom])
 
-    def _dr_solve_stage(self, t, j, x_prev, need_duals=False):
+    def _robust_columns(self, t):
+        """Costs and bounds of the risk-block columns ``[zeta, eta, Delta, u]``."""
+        block = self._blocks[t + 1]
+        K = self.lattice.size(t + 1)
+        return np.concatenate([block.obj, np.zeros(K)]), block.bounds + [(None, None)] * K
+
+    def _risk_block(self, t):
+        block = self._blocks[t + 1]
+        n, d = self.lattice.num_vars(t), block.obj.size
+        pools = self.pools[t + 1]
+        K = len(pools)
+        mats = [p.matrices() for p in pools]
+        cuts = np.zeros((sum(g.size for _, g in mats), n + d + K))
+        b_cuts = np.concatenate([-g for _, g in mats])
+        row = 0
+        for j, (G, g) in enumerate(mats):
+            cuts[row : row + g.size, :n] = G
+            cuts[row : row + g.size, n + d + j] = -1.0
+            row += g.size
+        b_ub = np.concatenate([np.zeros(block.support.shape[0]), b_cuts, np.zeros(K * K)])
+        costs, bounds = self._robust_columns(t)
+        return costs, self._robust_rows(t, n, cuts), b_ub, bounds
+
+    def _add_cuts(self, t, x_prev, vals, grads):
+        """One cut per scenario, each into that scenario's pool."""
+        for j, pool in enumerate(self.pools[t]):
+            pool.add(Cut(vals[j] - grads[j] @ x_prev, grads[j], origin=(self._iteration, t)))
+
+    def _risk_value(self, t, vals):
+        return vals
+
+    def _envelope_value(self, t, j, x_prev, archive, penalty):
+        """Robust stage LP with ``u_j`` bounding scenario j's penalized envelope.
+
+        Per scenario j, ``theta_j`` (P weights), ``yp_j`` and ``ym_j`` steer a
+        convex combination of archived states to ``x``.
+        """
         r = self.lattice.stage(t)[j]
         rhs = r.b - r.E @ x_prev
         n, m = r.num_vars, r.A.shape[0]
-        if t == self.T:
-            sol = solve_arrays(r.c, A_eq=r.A, b_eq=rhs)
-        else:
-            K, amb, w, rows, obj, zdim, caps = self._lower_blocks(t)
-            S = amb.size
-            pools = self.pools[t + 1]
-            ncuts = sum(len(p.cuts) for p in pools)
-            # variables: [x, zeta, eta, Delta, u] with u_j the epigraph of the
-            # scenario-j cut family (equivalent to writing each cut against
-            # every level row, with far fewer rows)
-            dim = n + zdim + K + K * K + K
-            c = np.zeros(dim)
-            c[:n] = r.c
-            c[n : n + zdim] = obj
-            A_eq = np.zeros((m, dim))
-            A_eq[:, :n] = r.A
-            A_ub = np.zeros((S + ncuts + K * K, dim))
-            b_ub = np.zeros(S + ncuts + K * K)
-            for l in range(S):
-                A_ub[l, n : n + zdim] = -rows[l]
-                A_ub[l, n + zdim : n + zdim + K] = w.beta[l]
-                A_ub[l, n + zdim + K : n + zdim + K + K * K] = np.repeat(
-                    w.beta[l] * caps / K, K
-                )
-            base = S
-            u0 = n + zdim + K + K * K
-            for j2, pool in enumerate(pools):
-                G, g = pool.matrices()
-                rows_j = slice(base, base + G.shape[0])
-                A_ub[rows_j, :n] = G
-                A_ub[rows_j, u0 + j2] = -1.0
-                b_ub[rows_j] = -g
-                base += G.shape[0]
-            for k in range(K):
-                for j2 in range(K):
-                    rr = base + k * K + j2
-                    A_ub[rr, u0 + j2] = 1.0
-                    A_ub[rr, n + zdim + k] = -1.0
-                    A_ub[rr, n + zdim + K + k * K + j2] = -1.0
-            bounds = (
-                [(0, None)] * n
-                + [(None, None)] * (zdim + K)
-                + [(0, None)] * (K * K)
-                + [(None, None)] * K
-            )
-            sol = solve_arrays(c, A_eq=A_eq, b_eq=rhs, A_ub=A_ub, b_ub=b_ub, bounds=bounds)
-        if sol.status == "infeasible":
-            raise RecourseError(
-                f"stage {t}, scenario {j}: robust subproblem infeasible at the "
-                "visited state, contradicting relatively complete recourse"
-            )
-        if not sol.is_optimal:
-            raise LpError(f"stage {t}, scenario {j}: LP is {sol.status}")
-        return float(sol.objective), sol.x[:n], (sol.eq_duals if need_duals else None)
-
-    def _dr_upper_value(self, t, j, x_prev):
-        r = self.lattice.stage(t)[j]
-        rhs = r.b - r.E @ x_prev
-        n, m = r.num_vars, r.A.shape[0]
-        if t == self.T:
-            sol = solve_arrays(r.c, A_eq=r.A, b_eq=rhs)
-            if not sol.is_optimal:
-                raise RecourseError(f"terminal stage LP is {sol.status}")
-            return float(sol.objective)
-        K, amb, w, rows, obj, zdim, caps = self._lower_blocks(t)
-        S = amb.size
-        X, V = self._archive_arrays(t)
-        P = V.shape[0]
-        M = np.broadcast_to(self._penalty(t), (n,))
-        # variables: [x, zeta, eta, Delta, u, theta (K*P), yp (K*n), ym (K*n)]
-        dim = n + zdim + K + K * K + K + K * P + 2 * K * n
-        th0 = n + zdim + K + K * K + K
+        X, V = archive
+        P, K = V.shape
+        M = np.broadcast_to(penalty, (n,))
+        c_y, bounds_y = self._robust_columns(t)
+        y = c_y.size
+        dim = n + y + K * P + 2 * K * n
+        th0 = n + y
         yp0 = th0 + K * P
         ym0 = yp0 + K * n
-        u0 = n + zdim + K + K * K
-        c = np.zeros(dim)
-        c[:n] = r.c
-        c[n : n + zdim] = obj
         A_eq = np.zeros((m + K * n + K, dim))
         b_eq = np.zeros(m + K * n + K)
         A_eq[:m, :n] = r.A
         b_eq[:m] = rhs
+        envelope = np.zeros((K, dim))
         for j2 in range(K):
             rr = slice(m + j2 * n, m + (j2 + 1) * n)
+            theta = slice(th0 + j2 * P, th0 + (j2 + 1) * P)
+            yp = slice(yp0 + j2 * n, yp0 + (j2 + 1) * n)
+            ym = slice(ym0 + j2 * n, ym0 + (j2 + 1) * n)
             A_eq[rr, :n] = -np.eye(n)
-            A_eq[rr, th0 + j2 * P : th0 + (j2 + 1) * P] = X.T
-            A_eq[rr, yp0 + j2 * n : yp0 + (j2 + 1) * n] = np.eye(n)
-            A_eq[rr, ym0 + j2 * n : ym0 + (j2 + 1) * n] = -np.eye(n)
-            A_eq[m + K * n + j2, th0 + j2 * P : th0 + (j2 + 1) * P] = 1.0
+            A_eq[rr, theta] = X.T
+            A_eq[rr, yp] = np.eye(n)
+            A_eq[rr, ym] = -np.eye(n)
+            A_eq[m + K * n + j2, theta] = 1.0
             b_eq[m + K * n + j2] = 1.0
-        A_ub = np.zeros((S + K + K * K, dim))
-        b_ub = np.zeros(S + K + K * K)
-        for l in range(S):
-            A_ub[l, n : n + zdim] = -rows[l]
-            A_ub[l, n + zdim : n + zdim + K] = w.beta[l]
-            A_ub[l, n + zdim + K : n + zdim + K + K * K] = np.repeat(
-                w.beta[l] * caps / K, K
-            )
-        for j2 in range(K):
-            rr = S + j2
-            A_ub[rr, th0 + j2 * P : th0 + (j2 + 1) * P] = V[:, j2]
-            A_ub[rr, yp0 + j2 * n : yp0 + (j2 + 1) * n] = M
-            A_ub[rr, ym0 + j2 * n : ym0 + (j2 + 1) * n] = M
-            A_ub[rr, u0 + j2] = -1.0
-        for k in range(K):
-            for j2 in range(K):
-                rr = S + K + k * K + j2
-                A_ub[rr, u0 + j2] = 1.0
-                A_ub[rr, n + zdim + k] = -1.0
-                A_ub[rr, n + zdim + K + k * K + j2] = -1.0
-        bounds = (
-            [(0, None)] * n
-            + [(None, None)] * (zdim + K)
-            + [(0, None)] * (K * K)
-            + [(None, None)] * K
-            + [(0, None)] * (K * P + 2 * K * n)
+            envelope[j2, theta] = V[:, j2]
+            envelope[j2, yp] = M
+            envelope[j2, ym] = M
+            envelope[j2, th0 - K + j2] = -1.0
+        A_ub = self._robust_rows(t, n, envelope)
+        c = np.concatenate([r.c, c_y, np.zeros(K * P + 2 * K * n)])
+        bounds = [(0, None)] * n + bounds_y + [(0, None)] * (K * P + 2 * K * n)
+        sol = solve_arrays(
+            c, A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=np.zeros(A_ub.shape[0]), bounds=bounds
         )
-        sol = solve_arrays(c, A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub, bounds=bounds)
         if not sol.is_optimal:
             raise RecourseError(f"robust upper LP is {sol.status}")
         return float(sol.objective)
-
-    def _archive_store(self, t, x, vec):
-        key = x.tobytes()
-        entry = self.archives[t].get(key)
-        if entry is None:
-            self.archives[t][key] = (x, np.asarray(vec, dtype=float))
-        else:
-            self.archives[t][key] = (x, np.minimum(entry[1], vec))
-        self._archive_cache.pop(t, None)
-
-    def _archive_arrays(self, t):
-        if not self.archives[t]:
-            raise ValueError(f"stage {t} archive is empty")
-        cached = self._archive_cache.get(t)
-        if cached is None:
-            entries = list(self.archives[t].values())
-            cached = (
-                np.vstack([e[0] for e in entries]),
-                np.vstack([e[1] for e in entries]),
-            )
-            self._archive_cache[t] = cached
-        return cached
-
-    def _coupled_columns(self, t: int) -> np.ndarray:
-        cached = self._coupling_masks
-        if t not in cached:
-            mask = np.zeros(self.lattice.num_vars(t), dtype=bool)
-            for r in self.lattice.stage(t + 1):
-                mask |= np.any(r.E != 0.0, axis=0)
-            cached[t] = mask.astype(float)
-        return cached[t]
-
-    def _penalty(self, t: int) -> np.ndarray:
-        opt = self.options
-        mask = self._coupled_columns(t)
-        if opt.lipschitz is not None:
-            value = (
-                float(opt.lipschitz)
-                if np.isscalar(opt.lipschitz)
-                else float(opt.lipschitz[t - 1])
-            )
-            return value * mask
-        observed = np.max(
-            [p.max_gradient_per_coordinate() for p in self.pools[t + 1]], axis=0
-        )
-        return np.maximum(opt.lipschitz_floor * mask, opt.lipschitz_safety * observed)
-
-    # -- passes --------------------------------------------------------------
-    def forward_pass(self):
-        v1, x1, _ = self._dr_solve_stage(1, 0, self.lattice.x0)
-        states = {1: [x1]}
-        if self.T > 2:
-            if self.options.full_enumeration:
-                for t in range(2, self.T):
-                    nxt = []
-                    for x_prev in states[t - 1]:
-                        for j in range(self.lattice.size(t)):
-                            _, x, _ = self._dr_solve_stage(t, j, x_prev)
-                            nxt.append(x)
-                    states[t] = _dedupe(nxt)
-                    if len(states[t]) > self.options.max_enumerated_states:
-                        raise ValueError(
-                            "full enumeration visits too many states; lower "
-                            "max_enumerated_states or use sampling"
-                        )
-            else:
-                per_stage = {t: [] for t in range(2, self.T)}
-                for _ in range(self.options.n_paths):
-                    x = x1
-                    for t in range(2, self.T):
-                        j = int(self._forward_rng.integers(self.lattice.size(t)))
-                        _, x, _ = self._dr_solve_stage(t, j, x)
-                        per_stage[t].append(x)
-                for t in range(2, self.T):
-                    states[t] = _dedupe(per_stage[t])
-        for t, group in states.items():
-            for x in group:
-                self.visited[t].setdefault(x.tobytes(), x)
-        return v1, states
-
-    def backward_step(self, t, x_prev) -> list[DrCut]:
-        """One multi-cut update: a scenario-wise cut family at ``x_prev``."""
-        reals = self.lattice.stage(t)
-        out = []
-        for j in range(self.lattice.size(t)):
-            v, _, duals = self._dr_solve_stage(t, j, x_prev, need_duals=True)
-            G = -(duals @ reals[j].E)
-            out.append(DrCut(scenario=j, intercept=v - G @ x_prev, gradient=G))
-        return out
-
-    def backward_pass(self, states):
-        for t in range(self.T, 1, -1):
-            for x_prev in states[t - 1]:
-                for cut in self.backward_step(t, x_prev):
-                    self.pools[t][cut.scenario].add(
-                        Cut(cut.intercept, cut.gradient, origin=(self._iteration, t))
-                    )
-
-    def upper_sweep(self, states=None) -> float:
-        """Certify per-scenario upper values; ``states=None`` re-certifies all."""
-        limit = self.options.refresh_limit
-        for t in range(self.T, 1, -1):
-            K = self.lattice.size(t)
-            if states is None:
-                group = list(self.visited[t - 1].values())
-                if limit is not None:
-                    group = group[-limit:]
-            else:
-                group = states[t - 1]
-            for x_prev in group:
-                vec = np.array([self._dr_upper_value(t, j, x_prev) for j in range(K)])
-                self._archive_store(t - 1, x_prev, vec)
-        return self._dr_upper_value(1, 0, self.lattice.x0)
-
-    def run(self) -> TrainReport:
-        report = TrainReport()
-        best_upper = np.inf
-        t_lower_acc = 0.0
-        stride = max(1, self.options.upper_stride)
-        for i in range(1, self.options.max_iterations + 1):
-            self._iteration = i
-            t0 = time.perf_counter()
-            lower, states = self.forward_pass()
-            self.backward_pass(states)
-            t_lower_acc += time.perf_counter() - t0
-            last = i == self.options.max_iterations
-            if i % stride and not last:
-                continue
-            t1 = time.perf_counter()
-            scope = None if (last and self.options.final_refresh) else states
-            raw_upper = self.upper_sweep(scope)
-            t_upper = time.perf_counter() - t1
-            best_upper = min(best_upper, raw_upper)
-            gap = best_upper - lower
-            cuts = max(p.count for pools in self.pools.values() for p in pools)
-            report.add_row(cuts, lower, best_upper, gap, t_lower_acc, t_upper)
-            t_lower_acc = 0.0
-            if gap <= self.options.tolerance:
-                report.converged = True
-                break
-        return report
 
 
 def dr_train(lattice, ambs, options=None) -> TrainReport:

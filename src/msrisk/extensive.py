@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dr import resolve_ambiguities, worst_case_arsrm
 from .lp import LpError, LpModel
 from .scenario import ScenarioLattice
 from .sddp import resolve_stage_weights
@@ -183,33 +184,11 @@ def _build_dr_node(model, lattice, ambs, betas, t, j, parent):
     return expr
 
 
-def _resolve_ambiguities(lattice, ambs) -> dict:
-    T = lattice.horizon
-    if not isinstance(ambs, (list, tuple)):
-        ambs = [ambs] * (T - 1)
-    if len(ambs) != T - 1:
-        raise ValueError(f"need one ambiguity set per stage 2..{T}")
-    out = {}
-    for t in range(2, T + 1):
-        amb = ambs[t - 2]
-        if not lattice.is_equiprobable(t):
-            raise ValueError("the robust model requires equiprobable stages")
-        out[t] = amb
-    return out
-
-
-def _dr_betas(lattice, ambs_by_stage):
-    return {
-        t: amb.stage_weights(lattice.size(t)) for t, amb in ambs_by_stage.items()
-    }
-
-
 def extensive_form_dr(lattice, ambs) -> float:
     """Exact optimal value of the distributionally robust multistage problem."""
-    amb_map = _resolve_ambiguities(lattice, ambs)
+    amb_map, betas = resolve_ambiguities(lattice, ambs)
     zdim = next(iter(amb_map.values())).dual_coefficients()[1].size
     _check_size(lattice, 1, zdim)
-    betas = _dr_betas(lattice, amb_map)
     model = LpModel()
     expr = _build_dr_node(model, lattice, amb_map, betas, 1, 0, lattice.x0)
     return _solve_expression(model, expr)
@@ -217,10 +196,9 @@ def extensive_form_dr(lattice, ambs) -> float:
 
 def dr_subtree_value(lattice, t, j, x_prev, ambs) -> float:
     """Exact robust cost-to-go of one scenario subtree at ``x_prev``."""
-    amb_map = _resolve_ambiguities(lattice, ambs)
+    amb_map, betas = resolve_ambiguities(lattice, ambs)
     zdim = next(iter(amb_map.values())).dual_coefficients()[1].size
     _check_size(lattice, t, zdim)
-    betas = _dr_betas(lattice, amb_map)
     model = LpModel()
     expr = _build_dr_node(
         model, lattice, amb_map, betas, t, j, np.asarray(x_prev, dtype=float)
@@ -230,13 +208,11 @@ def dr_subtree_value(lattice, t, j, x_prev, ambs) -> float:
 
 def dr_cost_to_go_oracle(lattice, t, x_prev, ambs) -> float:
     """Worst-case aggregated future risk at ``x_prev`` (robust counterpart)."""
-    from .dr import worst_case_arsrm
-
-    amb_map = _resolve_ambiguities(lattice, ambs)
+    amb_map, betas = resolve_ambiguities(lattice, ambs)
     vals = np.array(
         [
             dr_subtree_value(lattice, t, j, x_prev, ambs)
             for j in range(lattice.size(t))
         ]
     )
-    return worst_case_arsrm(vals, None, amb_map[t], amb_map[t].stage_weights(vals.size))
+    return worst_case_arsrm(vals, None, amb_map[t], betas[t])

@@ -4,10 +4,11 @@
 
     min c'x   s.t.  A_eq x = b_eq,  A_ub x <= b_ub,  lb <= x <= ub,
 
-``solve`` returns primal values, the objective, and duals for both row
-families. Duals follow the sensitivity convention for a minimization problem:
-the dual of a row is d(objective)/d(rhs). The backend is HiGHS through
-scipy.optimize.linprog; callers never touch the backend directly.
+``LpModel.solve`` and ``solve_arrays`` return primal values, the objective,
+and duals for both row families. Duals follow the sensitivity convention for
+a minimization problem: the dual of a row is d(objective)/d(rhs). The backend
+is HiGHS through scipy.optimize.linprog; callers never touch the backend
+directly.
 """
 
 from __future__ import annotations
@@ -186,79 +187,3 @@ class LpModel:
             b_ub=b_ub if A_ub is not None else None,
             bounds=bounds,
         )
-
-    # -- text dump -------------------------------------------------------------
-    def write_lp_text(self) -> str:
-        """Dump to a CPLEX-style LP text for external debugging.
-
-        The dump round-trips through :func:`read_lp_text` with the same
-        objective value.
-        """
-        lines = ["Minimize", " obj: " + _expr(self._obj_pairs()), "Subject To"]
-        for r, ((idx, coef), rhs) in enumerate(zip(self._eq_rows, self._eq_rhs)):
-            lines.append(f" e{r}: " + _expr(zip(idx, coef)) + f" = {rhs!r}")
-        for r, ((idx, coef), rhs) in enumerate(zip(self._ub_rows, self._ub_rhs)):
-            lines.append(f" u{r}: " + _expr(zip(idx, coef)) + f" <= {rhs!r}")
-        lines.append("Bounds")
-        for j, (lb, ub) in enumerate(zip(self._lb, self._ub)):
-            lo = "-inf" if not np.isfinite(lb) else repr(lb)
-            hi = "+inf" if ub is None else repr(ub)
-            lines.append(f" {lo} <= x{j} <= {hi}")
-        lines.append("End")
-        return "\n".join(lines) + "\n"
-
-    def _obj_pairs(self):
-        return [(j, v) for j, v in enumerate(self._obj) if v != 0.0]
-
-    @classmethod
-    def read_lp_text(cls, text: str) -> "LpModel":
-        model = cls()
-        section = None
-        pending = []
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line == "End":
-                continue
-            if line in ("Minimize", "Subject To", "Bounds"):
-                section = line
-                continue
-            if section == "Minimize":
-                pending = _parse_expr(line.split(":", 1)[1])
-            elif section == "Subject To":
-                body = line.split(":", 1)[1]
-                op = "=" if "<=" not in body else "<="
-                lhs, rhs = body.rsplit(op, 1)
-                idx, coef = zip(*_parse_expr(lhs)) if _parse_expr(lhs) else ((), ())
-                if op == "=":
-                    model.add_equality(idx, coef, float(rhs))
-                else:
-                    model.add_inequality(idx, coef, float(rhs))
-            elif section == "Bounds":
-                lo, _, _, _, hi = line.split()
-                lb = None if lo == "-inf" else float(lo)
-                ub = None if hi == "+inf" else float(hi)
-                model.add_variable(0.0, lb, ub)
-        for j, v in pending:
-            model._obj[j] = v
-        return model
-
-
-def _expr(pairs) -> str:
-    parts = [f"{float(v)!r} x{int(j)}" for j, v in pairs]
-    return " + ".join(parts) if parts else "0.0 x0"
-
-
-def _parse_expr(chunk: str):
-    out = []
-    for term in chunk.split("+"):
-        term = term.strip()
-        if not term:
-            continue
-        v, name = term.split()
-        out.append((int(name[1:]), float(v)))
-    return out
-
-
-def solve(model: LpModel) -> LpSolution:
-    """Solve a built model; duals satisfy d(obj)/d(rhs) for a min problem."""
-    return model.solve()

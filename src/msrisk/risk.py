@@ -113,11 +113,6 @@ class CvarDualWeights:
     khat: int
     alpha: float
 
-    def in_input_order(self, dist: DiscreteDistribution) -> np.ndarray:
-        out = np.empty_like(self.lambda_hat)
-        out[dist.order] = self.lambda_hat
-        return out
-
 
 def cvar_dual_weights(dist: DiscreteDistribution, alpha: float) -> CvarDualWeights:
     """Maximizer of ``sum_k p_k lambda_k Z_k`` over the CVaR dual feasible set.

@@ -119,14 +119,6 @@ class ScenarioLattice:
     def x0(self) -> np.ndarray:
         return np.zeros(self._stages[0][0].prev_dim)
 
-    def tree_size(self) -> int:
-        """Number of scenario-tree nodes in the extensive form."""
-        nodes, width = 0, 1
-        for t in range(1, self.horizon + 1):
-            width *= self.size(t) if t > 1 else 1
-            nodes += width
-        return nodes
-
 
 def _covariance_factor(sigma: np.ndarray, corr: np.ndarray) -> np.ndarray:
     if not np.allclose(corr, corr.T, atol=1e-12):

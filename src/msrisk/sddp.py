@@ -1,14 +1,18 @@
 """SDDP for multistage programs with averaged-spectral-risk stage objectives.
 
-The lower model keeps, per stage, a pool of aggregated cuts: affine minorants
-of the stage's future-risk functional, built in the backward pass from the
-equality-row duals of all scenario subproblems reweighted by the CVaR dual
-maximizers of each level in the combination. The upper model keeps, per
-stage, an archive of visited states with certified upper values and evaluates
-a lower convex envelope of those points, penalizing the distance to the
-convex hull in l1 norm with a constant dominating the cost-to-go Lipschitz
-modulus. Both bounds are deterministic and converge in finitely many
-iterations when the forward pass enumerates all scenarios.
+``BoundIteration`` runs the passes and bounds; the stage risk block plugs in:
+``MarsrmSddp`` for the averaged CVaR combination, :class:`msrisk.dr.DrSddp`
+for its worst case over a moment ambiguity set.
+
+For MARSRM the lower model keeps, per stage, a pool of aggregated cuts:
+affine minorants of the stage's future-risk functional, built in the backward
+pass from the equality-row duals of all scenario subproblems reweighted by
+the CVaR dual maximizers of each level in the combination. The upper model
+keeps, per stage, an archive of visited states with certified upper values
+and evaluates a lower convex envelope of those points, penalizing the
+distance to the convex hull in l1 norm with a constant dominating the
+cost-to-go Lipschitz modulus. Both bounds are deterministic and converge in
+finitely many iterations when the forward pass enumerates all scenarios.
 
 Scenario subproblems inside one backward step are independent pure solves and
 cut appends happen per stage in fixed scenario order, so results never depend
@@ -147,13 +151,10 @@ class TrainOptions:
     the largest cut-gradient magnitude seen at the following stage, floored at
     ``lipschitz_floor``. ``full_enumeration`` replaces sampling by a sweep of
     every scenario per stage, which makes the run deterministic and is what
-    the finite-convergence guarantee assumes. ``upper_stride`` spaces out the
-    upper-bound computations: the cut loop runs every iteration, while the
-    envelope sweep runs at checkpoint iterations only, one report row per
-    checkpoint. Each sweep certifies the states just visited; if the
-    iteration budget runs out, ``final_refresh`` re-certifies every state
-    seen so far (``refresh_limit`` caps that to the most recent ones) so the
-    last row carries the tightest bound available.
+    the finite-convergence guarantee assumes. Every iteration ends with an
+    envelope sweep that certifies the states just visited; if the iteration
+    budget runs out, ``final_refresh`` re-certifies every state seen so far so
+    the last row carries the tightest bound available.
     """
 
     max_iterations: int = 100
@@ -162,13 +163,26 @@ class TrainOptions:
     big: float = 1e9
     seed: int = 0
     full_enumeration: bool = False
-    upper_stride: int = 1
     final_refresh: bool = True
-    refresh_limit: Optional[int] = None
     lipschitz: Union[None, float, Sequence[float]] = None
     lipschitz_floor: float = 1.0
     lipschitz_safety: float = 10.0
     max_enumerated_states: int = 20_000
+
+    def check(self, horizon: int) -> None:
+        """Raise ``ValueError`` unless the options fit a ``horizon``-stage run."""
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
+        if self.n_paths < 1:
+            raise ValueError(f"n_paths must be at least 1, got {self.n_paths}")
+        if self.lipschitz is not None:
+            lip = np.asarray(self.lipschitz, dtype=float)
+            if lip.ndim > 1 or (lip.ndim == 1 and lip.size != horizon - 1):
+                raise ValueError(
+                    f"lipschitz must be a scalar or {horizon - 1} values (stages 1..{horizon - 1})"
+                )
+            if not np.all(lip >= 0.0):
+                raise ValueError("lipschitz values must be nonnegative")
 
 
 @dataclass
@@ -221,10 +235,15 @@ class TrainReport:
         return text
 
 
+def state_key(x) -> bytes:
+    """Hashable key of a state; -0.0 and 0.0 give the same key."""
+    return (np.asarray(x, dtype=float) + 0.0).tobytes()
+
+
 def _dedupe(states: list[np.ndarray]) -> list[np.ndarray]:
     seen = {}
     for s in states:
-        seen.setdefault(s.tobytes(), s)
+        seen.setdefault(state_key(s), s)
     return list(seen.values())
 
 
@@ -300,29 +319,33 @@ def upper_value(realization, x_prev, archive=None, penalty=0.0):
     return float(sol.objective)
 
 
-def upper_aggregate(weights: ArsrmWeights, values) -> float:
-    """Combine per-scenario upper values into the stage's risk upper value."""
-    return weights.aggregate(values)
+class BoundIteration:
+    """The SDDP bound iteration; subclasses supply the stage risk block.
 
+    * ``_risk_block(t)``: ``(costs, A_ub over [x, block], b_ub, bounds)`` of
+      the block columns and rows in the stage-t lower LP;
+    * ``_add_cuts(t, x_prev, vals, grads)``: cuts from the stage-t scenario
+      values and gradients at ``x_prev``;
+    * ``_risk_value(t, vals)``: the archived value from scenario upper values;
+    * ``_envelope_value(t, j, x_prev, archive, penalty)``: upper value of
+      stage-t scenario ``j`` over the stage-t archive (``t < T``);
+    * ``_stage_pools(t)``: the cut pools of stage t.
 
-class MarsrmSddp:
-    """Bound iteration state: cut pools, state archives, and the solve cache."""
+    Each engine binds the three passes in its own class body, so one
+    engine's passes can be wrapped (to profile them, say) apart from the other's.
+    """
 
-    def __init__(self, lattice: ScenarioLattice, prefs=None, weights=None, options=None):
+    def __init__(self, lattice: ScenarioLattice, options=None):
         self.lattice = lattice
         self.T = lattice.horizon
         self.options = options or TrainOptions()
-        self.weights = resolve_stage_weights(lattice, prefs=prefs, weights=weights)
-        big = self.options.big
-        self.pools = {
-            t: CutPool(lattice.num_vars(t - 1), big) for t in range(2, self.T + 1)
-        }
-        # archive[t]: visited x_t states with upper values of the stage-(t+1)
-        # risk, keyed by state; revisits keep the lowest certified value
+        self.options.check(self.T)
+        # archive[t]: visited x_t states with certified upper values of the
+        # stage-(t+1) risk, keyed by state; revisits keep the lowest values
         self.archives = {t: {} for t in range(1, self.T)}
         self._archive_cache = {}
-        # every state the forward passes have produced, per stage; the upper
-        # sweep re-certifies all of them against the current deeper envelopes
+        # every state the forward passes have produced, per stage; the final
+        # refresh re-certifies all of them against the current deeper envelopes
         self.visited = {t: {} for t in range(1, self.T)}
         self._coupling_masks = {}
         self._forward_rng = RngStream(self.options.seed).generator("forward")
@@ -336,12 +359,11 @@ class MarsrmSddp:
         if t == self.T:
             sol = solve_arrays(r.c, A_eq=r.A, b_eq=rhs)
         else:
-            G, g = self.pools[t + 1].matrices()
-            c = np.append(r.c, 1.0)
-            A_eq = np.hstack([r.A, np.zeros((r.A.shape[0], 1))])
-            A_ub = np.hstack([G, -np.ones((G.shape[0], 1))])
-            bounds = [(0, None)] * n + [(None, None)]
-            sol = solve_arrays(c, A_eq=A_eq, b_eq=rhs, A_ub=A_ub, b_ub=-g, bounds=bounds)
+            c_y, A_ub, b_ub, bounds_y = self._risk_block(t)
+            c = np.concatenate([r.c, c_y])
+            A_eq = np.hstack([r.A, np.zeros((r.A.shape[0], c_y.size))])
+            bounds = [(0, None)] * n + bounds_y
+            sol = solve_arrays(c, A_eq=A_eq, b_eq=rhs, A_ub=A_ub, b_ub=b_ub, bounds=bounds)
         if sol.status == "infeasible":
             raise RecourseError(
                 f"stage {t}, scenario {j}: subproblem infeasible at the visited "
@@ -372,13 +394,11 @@ class MarsrmSddp:
         opt = self.options
         mask = self._coupled_columns(t)
         if opt.lipschitz is not None:
-            value = (
-                float(opt.lipschitz)
-                if np.isscalar(opt.lipschitz)
-                else float(opt.lipschitz[t - 1])
-            )
-            return value * mask
-        observed = self.pools[t + 1].max_gradient_per_coordinate()
+            lip = np.asarray(opt.lipschitz, dtype=float)
+            return float(lip if lip.ndim == 0 else lip[t - 1]) * mask
+        observed = np.max(
+            [p.max_gradient_per_coordinate() for p in self._stage_pools(t + 1)], axis=0
+        )
         return np.maximum(opt.lipschitz_floor * mask, opt.lipschitz_safety * observed)
 
     # -- passes ------------------------------------------------------------------
@@ -387,7 +407,7 @@ class MarsrmSddp:
 
         Returns ``(lower_bound, states)`` where ``states[t]`` lists the
         distinct stage-t decisions visited, for ``t = 1..T-1``; all of them
-        are also recorded for the envelope sweeps.
+        are also recorded for the final refresh.
         """
         v1, x1, _ = self._solve_stage(1, 0, self.lattice.x0)
         states = {1: [x1]}
@@ -417,15 +437,14 @@ class MarsrmSddp:
                     states[t] = _dedupe(per_stage[t])
         for t, group in states.items():
             for x in group:
-                self.visited[t].setdefault(x.tobytes(), x)
+                self.visited[t].setdefault(state_key(x), x)
         return v1, states
 
     def backward_pass(self, states):
-        """Append one aggregated cut per visited state per stage, from T down."""
+        """Solve every scenario at each visited state, from T down, and cut."""
         for t in range(self.T, 1, -1):
             K = self.lattice.size(t)
             reals = self.lattice.stage(t)
-            w = self.weights[t]
             for x_prev in states[t - 1]:
                 vals = np.empty(K)
                 grads = np.zeros((K, x_prev.size))
@@ -433,11 +452,7 @@ class MarsrmSddp:
                     v, _, duals = self._solve_stage(t, j, x_prev, need_duals=True)
                     vals[j] = v
                     grads[j] = -(duals @ reals[j].E)
-                omega = w.scenario_reweighting(vals)
-                G = (omega / K) @ grads
-                value = float(omega @ vals / K)
-                cut = Cut(value - G @ x_prev, G, origin=(self._iteration, t))
-                self.pools[t].add(cut)
+                self._add_cuts(t, x_prev, vals, grads)
 
     def upper_sweep(self, states=None) -> float:
         """Certify upper values bottom-up and bound stage 1.
@@ -449,37 +464,34 @@ class MarsrmSddp:
         current deeper archives, which removes all staleness and is done once
         before reporting a final bound.
         """
-        limit = self.options.refresh_limit
         for t in range(self.T, 1, -1):
             K = self.lattice.size(t)
-            w = self.weights[t]
-            M = self._penalty(t) if t < self.T else 0.0
-            archive = self._archive_arrays(t) if t < self.T else None
-            if states is None:
-                group = list(self.visited[t - 1].values())
-                if limit is not None:
-                    group = group[-limit:]  # most recently visited states
-            else:
-                group = states[t - 1]
+            if t < self.T:
+                archive, penalty = self._archive_arrays(t), self._penalty(t)
+            group = list(self.visited[t - 1].values()) if states is None else states[t - 1]
             for x_prev in group:
-                vals = [
-                    upper_value(self.lattice.stage(t)[j], x_prev, archive, M)
-                    for j in range(K)
-                ]
-                self._archive_store(t - 1, x_prev, w.aggregate(vals))
-        return upper_value(
-            self.lattice.stage(1)[0],
-            self.lattice.x0,
-            self._archive_arrays(1),
-            self._penalty(1),
+                if t == self.T:  # the exact stage LP is the terminal upper value
+                    vals = [self._solve_stage(t, j, x_prev)[0] for j in range(K)]
+                else:
+                    vals = [
+                        self._envelope_value(t, j, x_prev, archive, penalty)
+                        for j in range(K)
+                    ]
+                self._archive_store(t - 1, x_prev, self._risk_value(t, np.array(vals)))
+        return self._envelope_value(
+            1, 0, self.lattice.x0, self._archive_arrays(1), self._penalty(1)
         )
 
-    def _archive_store(self, t, x, vbar):
-        key = x.tobytes()
+    def _archive_store(self, t, x, value):
+        """Keep the lowest value per state: a scalar, or one per scenario."""
+        key = state_key(x)
         entry = self.archives[t].get(key)
-        if entry is None or vbar < entry[1]:
-            self.archives[t][key] = (x, float(vbar))
-            self._archive_cache.pop(t, None)
+        if entry is not None:
+            if np.all(value >= entry[1]):
+                return
+            value = np.minimum(entry[1], value)
+        self.archives[t][key] = (x, value)
+        self._archive_cache.pop(t, None)
 
     def _archive_arrays(self, t):
         if not self.archives[t]:
@@ -498,30 +510,63 @@ class MarsrmSddp:
     def run(self) -> TrainReport:
         report = TrainReport()
         best_upper = np.inf
-        t_lower_acc = 0.0
-        stride = max(1, self.options.upper_stride)
         for i in range(1, self.options.max_iterations + 1):
             self._iteration = i
             t0 = time.perf_counter()
             lower, states = self.forward_pass()
             self.backward_pass(states)
-            t_lower_acc += time.perf_counter() - t0
+            t_lower = time.perf_counter() - t0
             last = i == self.options.max_iterations
-            if i % stride and not last:
-                continue
             t1 = time.perf_counter()
             scope = None if (last and self.options.final_refresh) else states
             raw_upper = self.upper_sweep(scope)
             t_upper = time.perf_counter() - t1
             best_upper = min(best_upper, raw_upper)
             gap = best_upper - lower
-            cuts = max(p.count for p in self.pools.values())
-            report.add_row(cuts, lower, best_upper, gap, t_lower_acc, t_upper)
-            t_lower_acc = 0.0
+            cuts = max(p.count for t in range(2, self.T + 1) for p in self._stage_pools(t))
+            report.add_row(cuts, lower, best_upper, gap, t_lower, t_upper)
             if gap <= self.options.tolerance:
                 report.converged = True
                 break
         return report
+
+
+class MarsrmSddp(BoundIteration):
+    """Single-cut MARSRM: one epigraph column over the aggregated cuts."""
+
+    def __init__(self, lattice: ScenarioLattice, prefs=None, weights=None, options=None):
+        super().__init__(lattice, options)
+        self.weights = resolve_stage_weights(lattice, prefs=prefs, weights=weights)
+        big = self.options.big
+        self.pools = {
+            t: CutPool(lattice.num_vars(t - 1), big) for t in range(2, self.T + 1)
+        }
+
+    forward_pass = BoundIteration.forward_pass
+    backward_pass = BoundIteration.backward_pass
+    upper_sweep = BoundIteration.upper_sweep
+
+    def _stage_pools(self, t):
+        return [self.pools[t]]
+
+    def _risk_block(self, t):
+        G, g = self.pools[t + 1].matrices()
+        A_ub = np.hstack([G, -np.ones((G.shape[0], 1))])
+        return np.ones(1), A_ub, -g, [(None, None)]
+
+    def _add_cuts(self, t, x_prev, vals, grads):
+        """One aggregated cut: the gradients reweighted by the CVaR duals."""
+        K = vals.size
+        omega = self.weights[t].scenario_reweighting(vals)
+        G = (omega / K) @ grads
+        value = float(omega @ vals / K)
+        self.pools[t].add(Cut(value - G @ x_prev, G, origin=(self._iteration, t)))
+
+    def _risk_value(self, t, vals):
+        return self.weights[t].aggregate(vals)
+
+    def _envelope_value(self, t, j, x_prev, archive, penalty):
+        return upper_value(self.lattice.stage(t)[j], x_prev, archive, penalty)
 
 
 def train(lattice, prefs=None, weights=None, options=None) -> TrainReport:

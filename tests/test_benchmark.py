@@ -13,7 +13,6 @@ from msrisk.benchmark import (
     wealth_phi_integrals,
 )
 from msrisk.extensive import extensive_form_marsrm
-from msrisk.lp import solve
 from msrisk.risk import ArsrmWeights, PreferenceDistribution, StepSpectrum
 from msrisk.sddp import TrainOptions, stage_subproblem
 
@@ -46,7 +45,7 @@ class TestInstance:
         inst = build_asset_instance(cfg)
         x_prev = np.array([0.4, 0.6])
         r = inst.lattice.stage(2)[1]
-        sol = solve(stage_subproblem(r, x_prev, cuts=None))
+        sol = stage_subproblem(r, x_prev, cuts=None).solve()
         x, z = sol.x[:2], sol.x[2:4]
         wealth = float(-r.E[0, :2] @ x_prev)
         assert abs(x.sum() + 0.01 * z.sum() - wealth) <= 1e-9
@@ -57,7 +56,7 @@ class TestInstance:
         inst = build_asset_instance(cfg)
         r = inst.lattice.stage(2)[0]
         x_prev = np.array([1.0, 0.0])
-        base = solve(stage_subproblem(r, x_prev, cuts=None)).objective
+        base = stage_subproblem(r, x_prev, cuts=None).solve().objective
         rets = -r.E[0, :2]
         assert abs(base - (-(rets @ x_prev))) < 1e-9
 

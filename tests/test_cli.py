@@ -128,6 +128,16 @@ def test_missing_config_is_usage_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--iters", "--paths"])
+def test_nonpositive_budget_is_usage_error(config_path, tmp_path, flag, capsys):
+    code = main(
+        ["solve", "--config", str(config_path), flag, "0", "--out", str(tmp_path / "runs")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must be at least 1" in err
+
+
 def test_unknown_mode_exits_nonzero():
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--mode", "bogus", "--config", "x.json"])

@@ -1,5 +1,6 @@
 """Robust risk layer: moment sets, strong duality, multi-cut SDDP bounds."""
 
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -14,13 +15,18 @@ from msrisk.dr import (
     worst_case_arsrm_primal,
 )
 from msrisk.extensive import (
+    dr_cost_to_go_oracle,
     dr_subtree_value,
     extensive_form_dr,
     extensive_form_marsrm,
 )
-from msrisk.lp import solve
-from msrisk.risk import PreferenceDistribution, arsrm_via_combination, DiscreteDistribution
-from msrisk.scenario import RngStream, build_lognormal_lattice
+from msrisk.risk import (
+    DiscreteDistribution,
+    PreferenceDistribution,
+    UnsupportedConfigurationError,
+    arsrm_via_combination,
+)
+from msrisk.scenario import RngStream, ScenarioLattice, build_lognormal_lattice
 from msrisk.sddp import Cut, TrainOptions
 
 
@@ -183,9 +189,9 @@ class TestDrStage:
         for _ in range(10):
             a, b = rng.dirichlet(np.ones(2), size=2)
             mid = 0.5 * (a + b)
-            va, _, _ = engine._dr_solve_stage(2, 0, a)
-            vb, _, _ = engine._dr_solve_stage(2, 0, b)
-            vm, _, _ = engine._dr_solve_stage(2, 0, mid)
+            va, _, _ = engine._solve_stage(2, 0, a)
+            vb, _, _ = engine._solve_stage(2, 0, b)
+            vm, _, _ = engine._solve_stage(2, 0, mid)
             assert va + vb >= 2 * vm - 1e-8
 
     def test_terminal_drops_robust_machinery(self):
@@ -206,7 +212,7 @@ class TestDrStage:
         cuts = [[Cut(0.0, -rets[j])] for j in range(4)]
         w = amb.stage_weights(4)
         model = dr_stage_subproblem(lat.stage(1)[0], lat.x0, cuts, amb, w)
-        sol = solve(model)
+        sol = model.solve()
         assert sol.is_optimal
         want = extensive_form_dr(lat, amb)
         assert abs(sol.objective - want) < 1e-7
@@ -223,7 +229,7 @@ class TestDrStage:
                 G = gen.normal(scale=0.5, size=lat.num_vars(2))
                 engine.pools[3][j].add(Cut(float(gen.normal() - 3.0), G))
         for x_prev in np.random.default_rng(8).dirichlet(np.ones(2), size=3):
-            v_fast, _, _ = engine._dr_solve_stage(2, 1, x_prev)
+            v_fast, _, _ = engine._solve_stage(2, 1, x_prev)
             literal = dr_stage_subproblem(
                 lat.stage(2)[1],
                 x_prev,
@@ -231,7 +237,7 @@ class TestDrStage:
                 amb,
                 engine.weights[3],
             )
-            sol = solve(literal)
+            sol = literal.solve()
             assert abs(v_fast - sol.objective) < 1e-8
 
     def test_backward_cut_tight_and_valid(self):
@@ -240,13 +246,14 @@ class TestDrStage:
         amb, _, _ = random_amb(rng, 3)
         engine = DrSddp(lat, amb)
         x1 = np.array([0.3, 0.7])
-        cuts = engine.backward_step(2, x1)
-        for cut in cuts:
-            v, _, _ = engine._dr_solve_stage(2, cut.scenario, x1)
+        engine.backward_pass({1: [x1]})
+        cuts = [pool.cuts[-1] for pool in engine.pools[2]]
+        for j, cut in enumerate(cuts):
+            v, _, _ = engine._solve_stage(2, j, x1)
             assert abs(cut.intercept + cut.gradient @ x1 - v) < 1e-8
         for x in rng.dirichlet(np.ones(2), size=50):
-            for cut in cuts:
-                truth = dr_subtree_value(lat, 2, cut.scenario, x, amb)
+            for j, cut in enumerate(cuts):
+                truth = dr_subtree_value(lat, 2, j, x, amb)
                 assert cut.intercept + cut.gradient @ x <= truth + 1e-7
 
 
@@ -312,3 +319,31 @@ class TestDrTrain:
         assert np.all(np.diff(lower) >= -1e-9)
         assert np.all(np.diff(upper) <= 1e-9)
         assert np.all(lower <= upper + 1e-6)
+
+
+class TestUnsupported:
+    @staticmethod
+    def skewed_lattice():
+        base = lattice(seed=15, T=3, K=2)
+        skewed = [
+            replace(r, prob=p) for r, p in zip(base.stage(3), (0.25, 0.75))
+        ]
+        return ScenarioLattice([base.stage(1), base.stage(2), skewed])
+
+    def test_non_equiprobable_stage_rejected_everywhere(self):
+        lat = self.skewed_lattice()
+        amb = MomentAmbiguitySet.from_empirical([(0.5, 0.5)], [1.0])
+        x1 = np.array([0.5, 0.5])
+        with pytest.raises(UnsupportedConfigurationError):
+            DrSddp(lat, amb)
+        with pytest.raises(UnsupportedConfigurationError):
+            extensive_form_dr(lat, amb)
+        with pytest.raises(UnsupportedConfigurationError):
+            dr_subtree_value(lat, 2, 0, x1, amb)
+        with pytest.raises(UnsupportedConfigurationError):
+            dr_cost_to_go_oracle(lat, 2, x1, amb)
+
+    def test_invalid_options_rejected_by_the_robust_engine(self):
+        amb = MomentAmbiguitySet.from_empirical([(0.5, 0.5)], [1.0])
+        with pytest.raises(ValueError, match="lipschitz"):
+            DrSddp(lattice(T=4, K=2), amb, options=TrainOptions(lipschitz=[5.0]))

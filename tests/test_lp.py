@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from msrisk.lp import LpModel, solve, solve_arrays
+from msrisk.lp import LpModel, solve_arrays
 
 
 def test_equality_dual_sensitivity_convention():
@@ -9,7 +9,7 @@ def test_equality_dual_sensitivity_convention():
     m = LpModel()
     x = m.add_variable(obj=1.0, lb=None)
     m.add_equality([x], [1.0], 3.0, tag="pin")
-    sol = solve(m)
+    sol = m.solve()
     assert sol.is_optimal
     assert abs(sol.objective - 3.0) < 1e-9
     assert abs(sol.eq_duals[m.eq_row("pin")] - 1.0) < 1e-9
@@ -19,7 +19,7 @@ def test_bounded_maximization():
     m = LpModel()
     m.add_variable(obj=-1.0, lb=0.0)
     m.add_inequality([0], [1.0], 2.0)
-    sol = solve(m)
+    sol = m.solve()
     assert abs(sol.objective + 2.0) < 1e-9
 
 
@@ -29,7 +29,7 @@ def test_degenerate_redundant_equality():
     y = m.add_variable(obj=1.0, lb=0.0)
     m.add_equality([x, y], [1.0, 1.0], 2.0)
     m.add_equality([x, y], [2.0, 2.0], 4.0)  # redundant copy
-    sol = solve(m)
+    sol = m.solve()
     assert sol.is_optimal
     assert abs(sol.objective - 2.0) < 1e-7
     assert abs(sol.x[0] + sol.x[1] - 2.0) < 1e-7
@@ -84,22 +84,3 @@ def test_tags_unique():
     m.add_variable(tag="x")
     with pytest.raises(ValueError):
         m.add_variable(tag="x")
-
-
-def test_lp_text_round_trip():
-    rng = np.random.default_rng(2)
-    m = LpModel()
-    for _ in range(5):
-        m.add_variable(obj=abs(rng.normal()) + 0.1, lb=0.0)
-    free = m.add_variable(obj=1.0, lb=None)
-    m.add_equality([free], [1.0], 1.3)  # pin the free variable
-    A = rng.normal(size=(3, 6))
-    x_feas = np.abs(rng.normal(size=6))
-    for i in range(3):
-        m.add_equality(range(6), A[i], float(A[i] @ x_feas))
-    m.add_inequality([0, 2], [1.0, -2.0], 5.0)
-    first = solve(m)
-    text = m.write_lp_text()
-    again = solve(LpModel.read_lp_text(text))
-    assert first.is_optimal and again.is_optimal
-    assert abs(first.objective - again.objective) < 1e-9

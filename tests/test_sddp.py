@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from msrisk.extensive import cost_to_go_oracle, extensive_form_marsrm
-from msrisk.lp import solve
 from msrisk.risk import DiscreteDistribution, cvar
 from msrisk.scenario import RngStream, build_lognormal_lattice, preset_preference
 from msrisk.sddp import (
@@ -10,9 +9,9 @@ from msrisk.sddp import (
     CutPool,
     MarsrmSddp,
     TrainOptions,
+    _dedupe,
     stage_subproblem,
     train,
-    upper_aggregate,
     upper_value,
 )
 
@@ -46,7 +45,7 @@ class TestStageSubproblem:
         r = lat.stage(2)[0]
         floor = Cut(-50.0, np.zeros(r.num_vars))
         model = stage_subproblem(r, np.array([0.7, 0.3]), cuts=[floor])
-        sol = solve(model)
+        sol = model.solve()
         assert sol.is_optimal
         theta = sol.x[model.variable("theta")]
         assert abs(theta - (-50.0)) < 1e-9
@@ -61,7 +60,7 @@ class TestStageSubproblem:
                 model = stage_subproblem(
                     lat.stage(2)[j], x_prev, cuts=engine.pools[3].cuts
                 )
-                sol = solve(model)
+                sol = model.solve()
                 assert abs(v - sol.objective) < 1e-9
 
     def test_stage_value_convex_in_state(self):
@@ -162,7 +161,7 @@ class TestUpperValue:
         r = lat.stage(2)[1]
         x1 = np.array([0.6, 0.4])
         direct = stage_subproblem(r, x1, cuts=None)
-        assert abs(upper_value(r, x1) - solve(direct).objective) < 1e-10
+        assert abs(upper_value(r, x1) - direct.solve().objective) < 1e-10
 
     def test_archived_optimizer_gives_zero_gap(self):
         lat = lattice(seed=10, T=2, K=4)
@@ -207,11 +206,11 @@ class TestUpperValue:
         w_neutral = MarsrmSddp(lat, prefs=NEUTRAL).weights[2]
         w_cvar = MarsrmSddp(lat, prefs=HALF_CVAR).weights[2]
         vals = np.array([1.0, -2.0, 0.5, 3.0])
-        assert abs(upper_aggregate(w_neutral, vals) - vals.mean()) < 1e-12
-        assert abs(upper_aggregate(w_cvar, np.full(4, 2.5)) - 2.5) < 1e-12
+        assert abs(w_neutral.aggregate(vals) - vals.mean()) < 1e-12
+        assert abs(w_cvar.aggregate(np.full(4, 2.5)) - 2.5) < 1e-12
         bumped = vals.copy()
         bumped[2] += 1.0
-        assert upper_aggregate(w_cvar, bumped) >= upper_aggregate(w_cvar, vals) - 1e-12
+        assert w_cvar.aggregate(bumped) >= w_cvar.aggregate(vals) - 1e-12
 
 
 class TestTrain:
@@ -278,3 +277,38 @@ def test_cut_pool_floor_and_count():
     assert G.shape == (2, 3) and g[0] == -1e9
     with pytest.raises(ValueError):
         pool.add(Cut(np.inf, np.zeros(3)))
+
+
+def test_signed_zero_states_share_one_key():
+    # HiGHS often returns -0.0 for a zero coordinate; it is the same state
+    a, b = np.array([0.0, 1.0]), np.array([-0.0, 1.0])
+    assert len(_dedupe([a, b])) == 1
+    engine = MarsrmSddp(lattice(T=2, K=2), prefs=NEUTRAL)
+    engine._archive_store(1, a, 2.0)
+    engine._archive_store(1, b, 1.0)
+    assert len(engine.archives[1]) == 1
+    _, values = engine._archive_arrays(1)
+    assert values.tolist() == [1.0]
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (TrainOptions(max_iterations=0), "max_iterations"),
+        (TrainOptions(n_paths=0), "n_paths"),
+        (TrainOptions(lipschitz=[5.0]), "3 values"),
+        (TrainOptions(lipschitz=[1.0, -1.0, 1.0]), "nonnegative"),
+        (TrainOptions(lipschitz=float("nan")), "nonnegative"),
+    ],
+)
+def test_invalid_options_rejected_at_construction(options, message):
+    with pytest.raises(ValueError, match=message):
+        MarsrmSddp(lattice(T=4, K=2), prefs=NEUTRAL, options=options)
+
+
+def test_per_stage_lipschitz_prices_its_own_stage():
+    lat = lattice(seed=18, T=4, K=2)
+    options = TrainOptions(lipschitz=[1.0, 2.0, 3.0])
+    engine = MarsrmSddp(lat, prefs=NEUTRAL, options=options)
+    for t in (1, 2, 3):
+        np.testing.assert_array_equal(engine._penalty(t), t * engine._coupled_columns(t))
