@@ -19,6 +19,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
+from scipy import sparse
 
 from .lp import LpError, LpModel, RecourseError, solve_arrays
 from .risk import (
@@ -217,6 +218,24 @@ def _level_rows(K: int) -> np.ndarray:
     return level
 
 
+def _sparse_rows(shape, blocks) -> sparse.coo_array:
+    """A ``shape`` matrix holding the nonzeros of each ``(row0, col0, block)``.
+
+    The robust LPs are mostly zeros; HiGHS receives the same model as from
+    the dense arrays, without the dense arrays being built and scanned.
+    """
+    rows, cols, vals = [], [], []
+    for r0, c0, block in blocks:
+        block = np.atleast_2d(block)
+        r, c = np.nonzero(block)
+        rows.append(r + r0)
+        cols.append(c + c0)
+        vals.append(block[r, c])
+    # 32-bit indices, as HiGHS takes them and as scipy picks for dense input
+    rows, cols = (np.concatenate(x).astype(np.int32) for x in (rows, cols))
+    return sparse.coo_array((np.concatenate(vals), (rows, cols)), shape=shape)
+
+
 def moment_dual_block(amb: MomentAmbiguitySet, weights: ArsrmWeights) -> MomentDualBlock:
     """Build the moment-dual block of ``amb`` under its CVaR-combination weights."""
     rows, obj = amb.dual_coefficients()
@@ -346,21 +365,21 @@ class DrSddp(BoundIteration):
     def _stage_pools(self, t):
         return self.pools[t]
 
-    def _robust_rows(self, t, n, middle):
+    def _robust_rows(self, t, n, width, height, middle):
         """``<=`` rows of a stage-t robust LP over ``[x, zeta, eta, Delta, u, ...]``.
 
-        The support rows come first, then ``middle``, then the level rows,
-        whose ``u_j`` entries close each level against scenario j.
+        The support rows come first, then the ``height`` rows whose blocks
+        ``middle`` lists, then the level rows, whose ``u_j`` entries close
+        each level against scenario j.
         """
         block = self._blocks[t + 1]
         K = self.lattice.size(t + 1)
-        d = block.obj.size
-        top = np.zeros((block.support.shape[0], middle.shape[1]))
-        top[:, n : n + d] = block.support
-        bottom = np.zeros((K * K, middle.shape[1]))
-        bottom[:, n + d - K - K * K : n + d] = block.level
-        bottom[:, n + d : n + d + K] = np.tile(np.eye(K), (K, 1))
-        return np.vstack([top, middle, bottom])
+        S, d = block.support.shape
+        bottom = S + height
+        middle = [(S + r0, c0, b) for r0, c0, b in middle]
+        u_cols = np.tile(np.eye(K), (K, 1))
+        level = [(bottom, n + d - K - K * K, block.level), (bottom, n + d, u_cols)]
+        return _sparse_rows((bottom + K * K, width), [(0, n, block.support), *middle, *level])
 
     def _robust_columns(self, t):
         """Costs and bounds of the risk-block columns ``[zeta, eta, Delta, u]``."""
@@ -374,16 +393,14 @@ class DrSddp(BoundIteration):
         pools = self.pools[t + 1]
         K = len(pools)
         mats = [p.matrices() for p in pools]
-        cuts = np.zeros((sum(g.size for _, g in mats), n + d + K))
         b_cuts = np.concatenate([-g for _, g in mats])
-        row = 0
+        cuts, row = [], 0
         for j, (G, g) in enumerate(mats):
-            cuts[row : row + g.size, :n] = G
-            cuts[row : row + g.size, n + d + j] = -1.0
+            cuts += [(row, 0, G), (row, n + d + j, -np.ones((g.size, 1)))]
             row += g.size
         b_ub = np.concatenate([np.zeros(block.support.shape[0]), b_cuts, np.zeros(K * K)])
         costs, bounds = self._robust_columns(t)
-        return costs, self._robust_rows(t, n, cuts), b_ub, bounds
+        return costs, self._robust_rows(t, n, n + d + K, row, cuts), b_ub, bounds
 
     def _add_cuts(self, t, x_prev, vals, grads):
         """One cut per scenario, each into that scenario's pool."""
@@ -411,27 +428,21 @@ class DrSddp(BoundIteration):
         th0 = n + y
         yp0 = th0 + K * P
         ym0 = yp0 + K * n
-        A_eq = np.zeros((m + K * n + K, dim))
-        b_eq = np.zeros(m + K * n + K)
-        A_eq[:m, :n] = r.A
-        b_eq[:m] = rhs
-        envelope = np.zeros((K, dim))
+        b_eq = np.concatenate([rhs, np.zeros(K * n), np.ones(K)])
+        equalities, envelope = [(0, 0, r.A)], []
         for j2 in range(K):
-            rr = slice(m + j2 * n, m + (j2 + 1) * n)
-            theta = slice(th0 + j2 * P, th0 + (j2 + 1) * P)
-            yp = slice(yp0 + j2 * n, yp0 + (j2 + 1) * n)
-            ym = slice(ym0 + j2 * n, ym0 + (j2 + 1) * n)
-            A_eq[rr, :n] = -np.eye(n)
-            A_eq[rr, theta] = X.T
-            A_eq[rr, yp] = np.eye(n)
-            A_eq[rr, ym] = -np.eye(n)
-            A_eq[m + K * n + j2, theta] = 1.0
-            b_eq[m + K * n + j2] = 1.0
-            envelope[j2, theta] = V[:, j2]
-            envelope[j2, yp] = M
-            envelope[j2, ym] = M
-            envelope[j2, th0 - K + j2] = -1.0
-        A_ub = self._robust_rows(t, n, envelope)
+            rr = m + j2 * n
+            theta, yp, ym = th0 + j2 * P, yp0 + j2 * n, ym0 + j2 * n
+            equalities += [
+                (rr, 0, -np.eye(n)),
+                (rr, theta, X.T),
+                (rr, yp, np.eye(n)),
+                (rr, ym, -np.eye(n)),
+                (m + K * n + j2, theta, np.ones(P)),
+            ]
+            envelope += [(j2, theta, V[:, j2]), (j2, yp, M), (j2, ym, M), (j2, th0 - K + j2, -1.0)]
+        A_eq = _sparse_rows((b_eq.size, dim), equalities)
+        A_ub = self._robust_rows(t, n, dim, K, envelope)
         c = np.concatenate([r.c, c_y, np.zeros(K * P + 2 * K * n)])
         bounds = [(0, None)] * n + bounds_y + [(0, None)] * (K * P + 2 * K * n)
         sol = solve_arrays(
