@@ -7,18 +7,20 @@
 ``LpModel.solve`` and ``solve_arrays`` return primal values, the objective,
 and duals for both row families. Duals follow the sensitivity convention for
 a minimization problem: the dual of a row is d(objective)/d(rhs). The backend
-is HiGHS through scipy.optimize.linprog; callers never touch the backend
-directly.
+is HiGHS: through scipy.optimize.linprog, or, for ``ResolvableLp``, one model
+kept alive in scipy's private HiGHS class and re-solved warm (feature-detected,
+with ``solve_arrays`` as its fallback); callers never touch the backend.
 """
 
 from __future__ import annotations
 
+import tempfile
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
-from scipy.sparse import coo_matrix
 
 
 class LpError(RuntimeError):
@@ -76,6 +78,85 @@ def solve_arrays(
     eq_duals = np.asarray(res.eqlin.marginals) if A_eq is not None else None
     ub_duals = np.asarray(res.ineqlin.marginals) if A_ub is not None else None
     return LpSolution("optimal", np.asarray(res.x), float(res.fun), eq_duals, ub_duals)
+
+
+def _highs_class():
+    """scipy's private HiGHS class, if it has every method ``ResolvableLp`` uses."""
+    try:
+        from scipy.optimize._highspy._core import _Highs
+    except ImportError:
+        return None
+    used = ("passModel", "setOptionValue", "changeRowBounds", "run", "clearSolver",
+            "getModelStatus", "getSolution", "getObjectiveValue", "writeModel")
+    return _Highs if all(callable(getattr(_Highs, m, None)) for m in used) else None
+
+
+_HIGHS = _highs_class()
+# HiGHS model statuses with a verdict, as linprog maps them
+_HIGHS_STATUS = {"kOptimal": "optimal", "kInfeasible": "infeasible",
+                 "kModelError": "infeasible", "kUnbounded": "unbounded"}
+
+
+class ResolvableLp:
+    """An LP held in HiGHS and re-solved for new equality right-hand sides.
+
+    Built from ``solve_arrays``'s arrays in linprog's layout (rows ``[A_ub;
+    A_eq]``, CSC columns). ``solve(b_eq)`` changes only the equality-row
+    bounds, so HiGHS starts from the previous basis and skips presolve;
+    statuses and the cold presolve-off retry match ``solve_arrays``, which
+    does every solve when the HiGHS class is missing.
+    """
+
+    def __init__(self, c, A_eq, b_eq, A_ub=None, b_ub=None, bounds=(0, None)):
+        self._args, self._highs = (c, A_eq, A_ub, b_ub, bounds), None
+        if _HIGHS is None:
+            return
+        blocks = [a for a in (A_ub, A_eq) if a is not None]
+        stack = sparse.vstack if any(sparse.issparse(a) for a in blocks) else np.vstack
+        A = sparse.csc_array(stack(blocks))
+        box = np.broadcast_to(np.array(bounds, dtype=float), (c.size, 2))  # None -> nan
+        lb, ub = np.where(np.isnan(box), [-np.inf, np.inf], box).T
+        self._m_ub = A.shape[0] - len(b_eq)
+        self._highs = _HIGHS()
+        self._highs.setOptionValue("output_flag", False)
+        self._highs.setOptionValue("simplex_strategy", 1)  # dual simplex, as in linprog
+        self._highs.passModel(  # column-wise matrix, minimize, every column continuous
+            A.shape[1], A.shape[0], A.nnz, 1, 1, 0.0, np.asarray(c, dtype=float), lb, ub,
+            np.concatenate([np.full(self._m_ub, -np.inf), b_eq]),
+            np.concatenate([b_ub if A_ub is not None else [], b_eq]),
+            A.indptr, A.indices, A.data, np.zeros(c.size, dtype=np.int32),
+        )
+
+    def solve(self, b_eq) -> LpSolution:
+        c, A_eq, A_ub, b_ub, bounds = self._args
+        h = self._highs
+        if h is None:
+            return solve_arrays(c, A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub, bounds=bounds)
+        for i, value in enumerate(b_eq, start=self._m_ub):
+            h.changeRowBounds(i, value, value)
+        for presolve in ("on", "off"):  # as linprog, then solve_arrays' cold retry
+            h.setOptionValue("presolve", presolve)
+            h.run()
+            status = _HIGHS_STATUS.get(h.getModelStatus().name)
+            if status is not None:
+                break
+            h.clearSolver()  # drops the basis, so the retry is cold
+        else:
+            raise LpError(f"LP solve failed: HiGHS status {h.getModelStatus().name}")
+        if status != "optimal":
+            return LpSolution(status, None, None, None, None)
+        sol, m = h.getSolution(), self._m_ub
+        x, duals = np.array(sol.col_value), np.array(sol.row_dual)
+        ub_duals = duals[:m] if A_ub is not None else None
+        return LpSolution("optimal", x, h.getObjectiveValue(), duals[m:], ub_duals)
+
+    def write(self) -> Optional[str]:
+        """Save the model as it stands to a new ``.mps`` file; its path, or None."""
+        if self._highs is None:
+            return None
+        with tempfile.NamedTemporaryFile(prefix="msrisk-lp-", suffix=".mps", delete=False) as fh:
+            self._highs.writeModel(fh.name)
+        return fh.name
 
 
 class LpModel:
@@ -159,12 +240,11 @@ class LpModel:
 
     # -- assembly and solve ---------------------------------------------------
     def _matrix(self, rows, n):
-        data, ri, ci = [], [], []
-        for r, (idx, coef) in enumerate(rows):
-            ri.extend([r] * len(idx))
-            ci.extend(idx.tolist())
-            data.extend(coef.tolist())
-        return coo_matrix((data, (ri, ci)), shape=(len(rows), n)).tocsr()
+        sizes = [idx.size for idx, _ in rows]
+        ri = np.repeat(np.arange(len(rows)), sizes)
+        ci = np.concatenate([idx for idx, _ in rows])
+        data = np.concatenate([coef for _, coef in rows])
+        return sparse.coo_matrix((data, (ri, ci)), shape=(len(rows), n)).tocsr()
 
     def arrays(self):
         n = self.num_variables

@@ -27,7 +27,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .lp import LpError, RecourseError, solve_arrays
+from .lp import LpError, RecourseError, ResolvableLp, solve_arrays
 from .risk import (
     ArsrmWeights,
     PreferenceDistribution,
@@ -350,30 +350,38 @@ class BoundIteration:
         self._coupling_masks = {}
         self._forward_rng = RngStream(self.options.seed).generator("forward")
         self._iteration = 0
+        self._live = {}  # key -> ResolvableLp, for the last stage LP solved only
 
     # -- stage solves --------------------------------------------------------
     def _solve_stage(self, t, j, x_prev, need_duals=False):
         r = self.lattice.stage(t)[j]
         rhs = r.b - r.E @ x_prev
         n = r.num_vars
-        if t == self.T:
-            sol = solve_arrays(r.c, A_eq=r.A, b_eq=rhs)
-        else:
-            c_y, A_ub, b_ub, bounds_y = self._risk_block(t)
-            c = np.concatenate([r.c, c_y])
-            A_eq = np.hstack([r.A, np.zeros((r.A.shape[0], c_y.size))])
-            bounds = [(0, None)] * n + bounds_y
-            sol = solve_arrays(c, A_eq=A_eq, b_eq=rhs, A_ub=A_ub, b_ub=b_ub, bounds=bounds)
-        if sol.status == "infeasible":
-            raise RecourseError(
-                f"stage {t}, scenario {j}: subproblem infeasible at the visited "
-                "state, contradicting relatively complete recourse"
-            )
+        # one live model per engine, kept while only the balance rhs changes
+        pools = self._stage_pools(t + 1) if t < self.T else []
+        key = (t, tuple(p.count for p in pools), r.A.tobytes(), r.c.tobytes())
+        lp = self._live.get(key)
+        if lp is None:
+            if t == self.T:
+                lp = ResolvableLp(r.c, r.A, rhs)
+            else:
+                c_y, A_ub, b_ub, bounds_y = self._risk_block(t)
+                c = np.concatenate([r.c, c_y])
+                A_eq = np.hstack([r.A, np.zeros((r.A.shape[0], c_y.size))])
+                bounds = [(0, None)] * n + bounds_y
+                lp = ResolvableLp(c, A_eq, rhs, A_ub=A_ub, b_ub=b_ub, bounds=bounds)
+            self._live = {key: lp}
+        sol = lp.solve(rhs)
         if not sol.is_optimal:
-            raise LpError(f"stage {t}, scenario {j}: LP is {sol.status}")
-        x = sol.x[:n]
-        duals = sol.eq_duals if need_duals else None
-        return float(sol.objective), x, duals
+            saved = lp.write()
+            note = f" (the LP is saved in {saved})" if saved else ""
+            if sol.status == "infeasible":
+                raise RecourseError(
+                    f"stage {t}, scenario {j}: subproblem infeasible at the visited "
+                    f"state, contradicting relatively complete recourse{note}"
+                )
+            raise LpError(f"stage {t}, scenario {j}: LP is {sol.status}{note}")
+        return float(sol.objective), sol.x[:n], sol.eq_duals if need_duals else None
 
     # -- penalty selection -----------------------------------------------------
     def _coupled_columns(self, t: int) -> np.ndarray:

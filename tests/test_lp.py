@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from msrisk.lp import LpModel, solve_arrays
+import msrisk.lp
+from msrisk.lp import LpModel, ResolvableLp, solve_arrays
 
 
 def test_equality_dual_sensitivity_convention():
@@ -63,6 +64,54 @@ def test_dual_sensitivity_finite_difference():
         pert = solve_arrays(c, A_eq=A, b_eq=bp)
         predicted = base.objective + delta * base.eq_duals[i]
         assert abs(pert.objective - predicted) < 1e-6
+
+
+@pytest.mark.parametrize("highs", [True, False])
+def test_warm_resolve_dual_sensitivity_finite_difference(highs, monkeypatch):
+    if not highs:
+        monkeypatch.setattr(msrisk.lp, "_HIGHS", None)
+    rng = np.random.default_rng(0)
+    n, m_rows = 6, 3
+    A = rng.normal(size=(m_rows, n))
+    x_feas = np.abs(rng.normal(size=n)) + 0.5
+    b = A @ x_feas
+    c = np.abs(rng.normal(size=n)) + 0.1
+    live = ResolvableLp(c, A, b)
+    live.solve(b + 0.3 * A @ np.ones(n))  # leaves a basis for the next solve
+    base = live.solve(b)
+    assert abs(base.objective - solve_arrays(c, A_eq=A, b_eq=b).objective) < 1e-9
+    delta = 1e-4
+    for i in range(m_rows):
+        bp = b.copy()
+        bp[i] += delta
+        pert = live.solve(bp)
+        predicted = base.objective + delta * base.eq_duals[i]
+        assert abs(pert.objective - predicted) < 1e-6
+        assert abs(pert.objective - solve_arrays(c, A_eq=A, b_eq=bp).objective) < 1e-9
+
+
+@pytest.mark.parametrize("highs", [True, False])
+def test_warm_resolve_statuses_and_row_families(highs, monkeypatch):
+    if not highs:
+        monkeypatch.setattr(msrisk.lp, "_HIGHS", None)
+    # min -x - y  s.t.  x - y = b,  x + y <= 4,  x, y >= 0
+    live = ResolvableLp(
+        np.array([-1.0, -1.0]),
+        np.array([[1.0, -1.0]]),
+        np.array([0.0]),
+        A_ub=np.array([[1.0, 1.0]]),
+        b_ub=np.array([4.0]),
+    )
+    for b in (0.0, 2.0, 5.0, 1.0):
+        sol = live.solve(np.array([b]))
+        if b > 4.0:
+            assert sol.status == "infeasible" and sol.x is None
+            continue
+        assert sol.is_optimal and abs(sol.objective + 4.0) < 1e-9
+        assert np.allclose(sol.x, [2.0 + b / 2, 2.0 - b / 2])
+        assert abs(sol.ineq_duals[0] + 1.0) < 1e-9 and abs(sol.eq_duals[0]) < 1e-9
+    free = ResolvableLp(np.array([-1.0, 0.0]), np.array([[0.0, 1.0]]), np.array([1.0]))
+    assert free.solve(np.array([2.0])).status == "unbounded"
 
 
 def test_duality_gap_and_residuals():
