@@ -19,9 +19,8 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy import sparse
 
-from .lp import LpError, LpModel, RecourseError, solve_arrays
+from .lp import LpError, LpModel, block_matrix, solve_arrays
 from .risk import (
     ArsrmWeights,
     PreferenceDistribution,
@@ -218,24 +217,6 @@ def _level_rows(K: int) -> np.ndarray:
     return level
 
 
-def _sparse_rows(shape, blocks) -> sparse.coo_array:
-    """A ``shape`` matrix holding the nonzeros of each ``(row0, col0, block)``.
-
-    The robust LPs are mostly zeros; HiGHS receives the same model as from
-    the dense arrays, without the dense arrays being built and scanned.
-    """
-    rows, cols, vals = [], [], []
-    for r0, c0, block in blocks:
-        block = np.atleast_2d(block)
-        r, c = np.nonzero(block)
-        rows.append(r + r0)
-        cols.append(c + c0)
-        vals.append(block[r, c])
-    # 32-bit indices, as HiGHS takes them and as scipy picks for dense input
-    rows, cols = (np.concatenate(x).astype(np.int32) for x in (rows, cols))
-    return sparse.coo_array((np.concatenate(vals), (rows, cols)), shape=shape)
-
-
 def moment_dual_block(amb: MomentAmbiguitySet, weights: ArsrmWeights) -> MomentDualBlock:
     """Build the moment-dual block of ``amb`` under its CVaR-combination weights."""
     rows, obj = amb.dual_coefficients()
@@ -343,7 +324,8 @@ class DrSddp(BoundIteration):
 
     The risk block has the columns ``[zeta, eta, Delta, u]``: the moment-dual
     block plus ``u_j``, the epigraph of next-stage scenario j's cuts (which
-    equals writing each cut against every level row, with far fewer rows).
+    equals writing each cut against every level row, with far fewer rows) in
+    the lower LP, and of scenario j's envelope in the envelope LP.
     """
 
     def __init__(self, lattice: ScenarioLattice, ambs, options=None):
@@ -379,7 +361,7 @@ class DrSddp(BoundIteration):
         middle = [(S + r0, c0, b) for r0, c0, b in middle]
         u_cols = np.tile(np.eye(K), (K, 1))
         level = [(bottom, n + d - K - K * K, block.level), (bottom, n + d, u_cols)]
-        return _sparse_rows((bottom + K * K, width), [(0, n, block.support), *middle, *level])
+        return block_matrix((bottom + K * K, width), [(0, n, block.support), *middle, *level])
 
     def _robust_columns(self, t):
         """Costs and bounds of the risk-block columns ``[zeta, eta, Delta, u]``."""
@@ -410,47 +392,15 @@ class DrSddp(BoundIteration):
     def _risk_value(self, t, vals):
         return vals
 
-    def _envelope_value(self, t, j, x_prev, archive, penalty):
-        """Robust stage LP with ``u_j`` bounding scenario j's penalized envelope.
-
-        Per scenario j, ``theta_j`` (P weights), ``yp_j`` and ``ym_j`` steer a
-        convex combination of archived states to ``x``.
-        """
-        r = self.lattice.stage(t)[j]
-        rhs = r.b - r.E @ x_prev
-        n, m = r.num_vars, r.A.shape[0]
-        X, V = archive
-        P, K = V.shape
-        M = np.broadcast_to(penalty, (n,))
-        c_y, bounds_y = self._robust_columns(t)
-        y = c_y.size
-        dim = n + y + K * P + 2 * K * n
-        th0 = n + y
-        yp0 = th0 + K * P
-        ym0 = yp0 + K * n
-        b_eq = np.concatenate([rhs, np.zeros(K * n), np.ones(K)])
-        equalities, envelope = [(0, 0, r.A)], []
-        for j2 in range(K):
-            rr = m + j2 * n
-            theta, yp, ym = th0 + j2 * P, yp0 + j2 * n, ym0 + j2 * n
-            equalities += [
-                (rr, 0, -np.eye(n)),
-                (rr, theta, X.T),
-                (rr, yp, np.eye(n)),
-                (rr, ym, -np.eye(n)),
-                (m + K * n + j2, theta, np.ones(P)),
-            ]
-            envelope += [(j2, theta, V[:, j2]), (j2, yp, M), (j2, ym, M), (j2, th0 - K + j2, -1.0)]
-        A_eq = _sparse_rows((b_eq.size, dim), equalities)
-        A_ub = self._robust_rows(t, n, dim, K, envelope)
-        c = np.concatenate([r.c, c_y, np.zeros(K * P + 2 * K * n)])
-        bounds = [(0, None)] * n + bounds_y + [(0, None)] * (K * P + 2 * K * n)
-        sol = solve_arrays(
-            c, A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=np.zeros(A_ub.shape[0]), bounds=bounds
-        )
-        if not sol.is_optimal:
-            raise RecourseError(f"robust upper LP is {sol.status}")
-        return float(sol.objective)
+    def _envelope_block(self, t, n, values):
+        """Each envelope value bounds ``u_e`` in one ``<=`` row."""
+        K, tail = values.shape
+        costs, bounds = self._robust_columns(t)
+        u = n + costs.size - K
+        width = u + K + tail
+        A_ub = self._robust_rows(t, n, width, K, [(0, u + K, values), (0, u, -np.eye(K))])
+        costs = np.concatenate([costs, np.zeros(tail)])
+        return costs, A_ub, np.zeros(A_ub.shape[0]), bounds + [(0, None)] * tail
 
 
 def dr_train(lattice, ambs, options=None) -> TrainReport:

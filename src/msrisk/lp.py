@@ -5,8 +5,9 @@
     min c'x   s.t.  A_eq x = b_eq,  A_ub x <= b_ub,  lb <= x <= ub,
 
 ``LpModel.solve`` and ``solve_arrays`` return primal values, the objective,
-and duals for both row families. Duals follow the sensitivity convention for
-a minimization problem: the dual of a row is d(objective)/d(rhs). The backend
+and duals for both row families; ``block_matrix`` assembles the matrices of
+array LPs from blocks. Duals follow the sensitivity convention for a
+minimization problem: the dual of a row is d(objective)/d(rhs). The backend
 is HiGHS: through scipy.optimize.linprog, or, for ``ResolvableLp``, one model
 kept alive in scipy's private HiGHS class and re-solved warm (feature-detected,
 with ``solve_arrays`` as its fallback); callers never touch the backend.
@@ -45,6 +46,31 @@ class LpSolution:
 
 
 _STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+# linprog takes small matrices faster dense; larger ones are mostly zeros
+_DENSE_MAX_CELLS = 10_000
+
+
+def block_matrix(shape, blocks):
+    """A ``shape`` matrix holding each ``(row0, col0, block)`` at its offset.
+
+    Up to ``_DENSE_MAX_CELLS`` cells it is a dense array; beyond, a COO matrix
+    of the blocks' nonzeros with 32-bit indices, as HiGHS takes them and as
+    scipy picks for dense input, so HiGHS receives the same model either way.
+    """
+    blocks = [(r0, c0, np.atleast_2d(block)) for r0, c0, block in blocks]
+    if shape[0] * shape[1] <= _DENSE_MAX_CELLS:
+        out = np.zeros(shape)
+        for r0, c0, block in blocks:
+            out[r0 : r0 + block.shape[0], c0 : c0 + block.shape[1]] = block
+        return out
+    rows, cols, vals = [], [], []
+    for r0, c0, block in blocks:
+        r, c = np.nonzero(block)
+        rows.append(r + r0)
+        cols.append(c + c0)
+        vals.append(block[r, c])
+    rows, cols = (np.concatenate(x).astype(np.int32) for x in (rows, cols))
+    return sparse.coo_array((np.concatenate(vals), (rows, cols)), shape=shape)
 
 
 def solve_arrays(

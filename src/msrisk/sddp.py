@@ -1,8 +1,9 @@
 """SDDP for multistage programs with averaged-spectral-risk stage objectives.
 
-``BoundIteration`` runs the passes and bounds; the stage risk block plugs in:
-``MarsrmSddp`` for the averaged CVaR combination, :class:`msrisk.dr.DrSddp`
-for its worst case over a moment ambiguity set.
+``BoundIteration`` runs the passes and bounds and lays out the envelope LP of
+the upper bound; the stage risk block plugs in: ``MarsrmSddp`` for the
+averaged CVaR combination, :class:`msrisk.dr.DrSddp` for its worst case over
+a moment ambiguity set.
 
 For MARSRM the lower model keeps, per stage, a pool of aggregated cuts:
 affine minorants of the stage's future-risk functional, built in the backward
@@ -27,7 +28,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .lp import LpError, RecourseError, ResolvableLp, solve_arrays
+from .lp import LpError, RecourseError, ResolvableLp, block_matrix, solve_arrays
 from .risk import (
     ArsrmWeights,
     PreferenceDistribution,
@@ -52,7 +53,12 @@ def resolve_stage_weights(
     every stage to be equiprobable.
     """
     T = lattice.horizon
-    out: dict[int, ArsrmWeights] = {}
+    for t in range(2, T + 1):
+        if not lattice.is_equiprobable(t):
+            raise UnsupportedConfigurationError(
+                f"stage {t} is not equiprobable; the CVaR-combination "
+                "reduction is only defined on the equiprobable grid"
+            )
     if weights is not None:
         ws = list(weights) if isinstance(weights, (list, tuple)) else [weights] * (T - 1)
         if len(ws) != T - 1:
@@ -60,8 +66,7 @@ def resolve_stage_weights(
         for t in range(2, T + 1):
             if ws[t - 2].K != lattice.size(t):
                 raise ValueError(f"stage {t} weights built for wrong scenario count")
-            out[t] = ws[t - 2]
-        return out
+        return {t: ws[t - 2] for t in range(2, T + 1)}
     if prefs is None:
         raise ValueError("either prefs or weights must be given")
     if isinstance(prefs, PreferenceDistribution):
@@ -70,14 +75,7 @@ def resolve_stage_weights(
         plist = list(prefs)
         if len(plist) != T - 1:
             raise ValueError(f"need one preference distribution per stage 2..{T}")
-    for t in range(2, T + 1):
-        if not lattice.is_equiprobable(t):
-            raise UnsupportedConfigurationError(
-                f"stage {t} is not equiprobable; the CVaR-combination "
-                "reduction is only defined on the equiprobable grid"
-            )
-        out[t] = arsrm_weights(lattice.size(t), plist[t - 2])
-    return out
+    return {t: arsrm_weights(lattice.size(t), plist[t - 2]) for t in range(2, T + 1)}
 
 
 @dataclass(frozen=True)
@@ -142,19 +140,24 @@ class CutPool:
         return np.max(np.abs(G[1:]), axis=0)
 
 
+LIPSCHITZ_SAFETY = 10.0
+LIPSCHITZ_FLOOR = 1.0
+MAX_ENUMERATED_STATES = 20_000  # per stage, under full enumeration
+
+
 @dataclass
 class TrainOptions:
     """Knobs for the bound iteration.
 
     ``lipschitz`` pins the envelope penalty per stage (scalar or one value per
-    stage ``1..T-1``); left unset it defaults to ``lipschitz_safety`` times
+    stage ``1..T-1``); left unset it defaults to ``LIPSCHITZ_SAFETY`` times
     the largest cut-gradient magnitude seen at the following stage, floored at
-    ``lipschitz_floor``. ``full_enumeration`` replaces sampling by a sweep of
+    ``LIPSCHITZ_FLOOR``. ``full_enumeration`` replaces sampling by a sweep of
     every scenario per stage, which makes the run deterministic and is what
     the finite-convergence guarantee assumes. Every iteration ends with an
-    envelope sweep that certifies the states just visited; if the iteration
-    budget runs out, ``final_refresh`` re-certifies every state seen so far so
-    the last row carries the tightest bound available.
+    envelope sweep that certifies the states just visited; the last one
+    re-certifies every state seen so far, so the last row carries the
+    tightest bound available.
     """
 
     max_iterations: int = 100
@@ -163,11 +166,7 @@ class TrainOptions:
     big: float = 1e9
     seed: int = 0
     full_enumeration: bool = False
-    final_refresh: bool = True
     lipschitz: Union[None, float, Sequence[float]] = None
-    lipschitz_floor: float = 1.0
-    lipschitz_safety: float = 10.0
-    max_enumerated_states: int = 20_000
 
     def check(self, horizon: int) -> None:
         """Raise ``ValueError`` unless the options fit a ``horizon``-stage run."""
@@ -278,47 +277,6 @@ def stage_subproblem(realization, x_prev, cuts=None):
     return model
 
 
-def upper_value(realization, x_prev, archive=None, penalty=0.0):
-    """Envelope upper stage value at ``(x_prev, realization)``.
-
-    ``archive`` is a pair ``(states, values)`` of visited next-state points
-    and certified upper values of the future risk there; ``None`` marks the
-    final stage, where the exact stage LP is the upper value. The convex
-    combination is steered to the queried state with an l1 slack priced at
-    ``penalty`` (scalar, or one price per coordinate), which must dominate
-    the future risk's Lipschitz modulus coordinate-wise for the result to
-    stay a true upper bound.
-    """
-    r = realization
-    rhs = r.b - r.E @ np.asarray(x_prev, dtype=float)
-    n, m = r.num_vars, r.A.shape[0]
-    if archive is None:
-        sol = solve_arrays(r.c, A_eq=r.A, b_eq=rhs)
-        if not sol.is_optimal:
-            raise RecourseError(f"terminal stage LP is {sol.status}")
-        return float(sol.objective)
-    X, v = archive
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    v = np.asarray(v, dtype=float)
-    P = v.size
-    if P == 0:
-        raise ValueError("upper envelope needs at least one archived state")
-    pen = np.broadcast_to(np.asarray(penalty, dtype=float), (n,))
-    c = np.concatenate([r.c, v, pen, pen])
-    A_eq = np.zeros((m + n + 1, n + P + 2 * n))
-    A_eq[:m, :n] = r.A
-    A_eq[m : m + n, :n] = -np.eye(n)
-    A_eq[m : m + n, n : n + P] = X.T
-    A_eq[m : m + n, n + P : n + P + n] = np.eye(n)
-    A_eq[m : m + n, n + P + n :] = -np.eye(n)
-    A_eq[m + n, n : n + P] = 1.0
-    b_eq = np.concatenate([rhs, np.zeros(n), [1.0]])
-    sol = solve_arrays(c, A_eq=A_eq, b_eq=b_eq)
-    if not sol.is_optimal:
-        raise RecourseError(f"upper envelope LP is {sol.status}")
-    return float(sol.objective)
-
-
 class BoundIteration:
     """The SDDP bound iteration; subclasses supply the stage risk block.
 
@@ -327,8 +285,9 @@ class BoundIteration:
     * ``_add_cuts(t, x_prev, vals, grads)``: cuts from the stage-t scenario
       values and gradients at ``x_prev``;
     * ``_risk_value(t, vals)``: the archived value from scenario upper values;
-    * ``_envelope_value(t, j, x_prev, archive, penalty)``: upper value of
-      stage-t scenario ``j`` over the stage-t archive (``t < T``);
+    * ``_envelope_block(t, n, values)``: where the envelope values go in the
+      stage-t envelope LP (see ``_envelope_value``), as ``(costs, A_ub,
+      b_ub, bounds)`` with the costs and bounds of every column after ``x``;
     * ``_stage_pools(t)``: the cut pools of stage t.
 
     Each engine binds the three passes in its own class body, so one
@@ -383,6 +342,46 @@ class BoundIteration:
             raise LpError(f"stage {t}, scenario {j}: LP is {sol.status}{note}")
         return float(sol.objective), sol.x[:n], sol.eq_duals if need_duals else None
 
+    def _envelope_value(self, t, j, x_prev, archive, penalty):
+        """Upper value of stage-t scenario ``j`` at ``x_prev`` over the archive.
+
+        ``archive`` holds the states ``X`` (one per row) and their values
+        ``V``, a ``(P, E)`` array with one column per envelope (E=1 for
+        MARSRM, one per next-stage scenario for DR). The LP has the columns
+        ``[x | risk columns | lam_e (P each) | yp_e | ym_e]``; for each e,
+        ``-x + X' lam_e + yp_e - ym_e = 0`` and ``sum(lam_e) = 1`` steer a
+        convex combination of archived states to ``x``, and the envelope
+        value ``V[:, e] . lam_e + M . (yp_e + ym_e)`` prices the l1 slack at
+        ``M = penalty`` (scalar or per coordinate), which must dominate the
+        future risk's Lipschitz modulus for the value to stay an upper bound.
+        ``_envelope_block`` says where the envelope values go.
+        """
+        r = self.lattice.stage(t)[j]
+        n, m = r.num_vars, r.A.shape[0]
+        X, V = archive
+        V = np.reshape(V, (len(X), -1))
+        P, E = V.shape
+        # row e of values: V[:, e] over lam_e, the penalty over yp_e and over ym_e
+        lam, slack, diag = np.zeros((E, E, P)), np.zeros((E, E, n)), np.arange(E)
+        lam[diag, diag], slack[diag, diag] = V.T, penalty
+        values = np.hstack([lam.reshape(E, -1), slack.reshape(E, -1), slack.reshape(E, -1)])
+        costs, A_ub, b_ub, bounds = self._envelope_block(t, n, values)
+        c = np.concatenate([r.c, costs])
+        lam0, I = c.size - values.shape[1], np.eye(n)
+        blocks = [(0, 0, r.A)]
+        for e in range(E):
+            row, col, yp = m + e * n, lam0 + e * P, lam0 + E * P + e * n
+            blocks += [(row, 0, -I), (row, col, X.T), (row, yp, I), (row, yp + E * n, -I)]
+            blocks.append((m + E * n + e, col, np.ones(P)))
+        A_eq = block_matrix((m + E * n + E, c.size), blocks)
+        b_eq = np.concatenate([r.b - r.E @ x_prev, np.zeros(E * n), np.ones(E)])
+        sol = solve_arrays(
+            c, A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub, bounds=[(0, None)] * n + bounds
+        )
+        if not sol.is_optimal:
+            raise RecourseError(f"stage {t}, scenario {j}: upper envelope LP is {sol.status}")
+        return float(sol.objective)
+
     # -- penalty selection -----------------------------------------------------
     def _coupled_columns(self, t: int) -> np.ndarray:
         """Mask of stage-t decision coordinates the next stage actually reads.
@@ -407,7 +406,7 @@ class BoundIteration:
         observed = np.max(
             [p.max_gradient_per_coordinate() for p in self._stage_pools(t + 1)], axis=0
         )
-        return np.maximum(opt.lipschitz_floor * mask, opt.lipschitz_safety * observed)
+        return np.maximum(LIPSCHITZ_FLOOR * mask, LIPSCHITZ_SAFETY * observed)
 
     # -- passes ------------------------------------------------------------------
     def forward_pass(self):
@@ -428,10 +427,10 @@ class BoundIteration:
                             _, x, _ = self._solve_stage(t, j, x_prev)
                             nxt.append(x)
                     states[t] = _dedupe(nxt)
-                    if len(states[t]) > self.options.max_enumerated_states:
+                    if len(states[t]) > MAX_ENUMERATED_STATES:
                         raise ValueError(
-                            "full enumeration visits too many states; lower "
-                            "max_enumerated_states or use sampling"
+                            f"full enumeration visits {len(states[t])} states at stage "
+                            f"{t}, more than {MAX_ENUMERATED_STATES}; sample paths instead"
                         )
             else:
                 per_stage = {t: [] for t in range(2, self.T)}
@@ -524,10 +523,9 @@ class BoundIteration:
             lower, states = self.forward_pass()
             self.backward_pass(states)
             t_lower = time.perf_counter() - t0
-            last = i == self.options.max_iterations
             t1 = time.perf_counter()
-            scope = None if (last and self.options.final_refresh) else states
-            raw_upper = self.upper_sweep(scope)
+            # the last sweep re-certifies every state seen so far
+            raw_upper = self.upper_sweep(None if i == self.options.max_iterations else states)
             t_upper = time.perf_counter() - t1
             best_upper = min(best_upper, raw_upper)
             gap = best_upper - lower
@@ -573,8 +571,10 @@ class MarsrmSddp(BoundIteration):
     def _risk_value(self, t, vals):
         return self.weights[t].aggregate(vals)
 
-    def _envelope_value(self, t, j, x_prev, archive, penalty):
-        return upper_value(self.lattice.stage(t)[j], x_prev, archive, penalty)
+    def _envelope_block(self, t, n, values):
+        """The one envelope value is the objective; no risk columns or rows."""
+        (cost,) = values
+        return cost, None, None, [(0, None)] * cost.size
 
 
 def train(lattice, prefs=None, weights=None, options=None) -> TrainReport:

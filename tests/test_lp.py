@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import msrisk.lp
-from msrisk.lp import LpModel, ResolvableLp, solve_arrays
+from msrisk.lp import LpModel, ResolvableLp, block_matrix, solve_arrays
 
 
 def test_equality_dual_sensitivity_convention():
@@ -133,3 +133,23 @@ def test_tags_unique():
     m.add_variable(tag="x")
     with pytest.raises(ValueError):
         m.add_variable(tag="x")
+
+
+def test_block_matrix_dense_when_small_sparse_when_large(monkeypatch):
+    rng = np.random.default_rng(3)
+    blocks = [
+        (0, 0, rng.random((3, 4)) * (rng.random((3, 4)) < 0.5)),
+        (3, 2, -np.eye(5)),
+        (8, 1, np.ones(6)),
+        (1, 7, 2.5),
+    ]
+    small = block_matrix((9, 8), blocks)
+    assert isinstance(small, np.ndarray)
+    monkeypatch.setattr(msrisk.lp, "_DENSE_MAX_CELLS", 0)
+    large = block_matrix((9, 8), blocks)
+    assert large.format == "coo" and large.row.dtype == large.col.dtype == np.int32
+    np.testing.assert_array_equal(large.toarray(), small)
+    assert large.nnz == np.count_nonzero(small)  # no stored zeros
+    c, b = -rng.random(8), small @ np.full(8, 0.5)
+    dense, sparse = (solve_arrays(c, A_ub=A, b_ub=b, bounds=(0, 1)) for A in (small, large))
+    assert dense.objective < 0.0 and dense.objective == sparse.objective

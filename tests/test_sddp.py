@@ -1,9 +1,23 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from msrisk.extensive import cost_to_go_oracle, extensive_form_marsrm
-from msrisk.risk import DiscreteDistribution, cvar
-from msrisk.scenario import RngStream, build_lognormal_lattice, preset_preference
+import msrisk.sddp
+from msrisk.dr import DrSddp, MomentAmbiguitySet
+from msrisk.extensive import cost_to_go_oracle, extensive_form_marsrm, subtree_value
+from msrisk.risk import (
+    DiscreteDistribution,
+    UnsupportedConfigurationError,
+    arsrm_weights,
+    cvar,
+)
+from msrisk.scenario import (
+    RngStream,
+    ScenarioLattice,
+    build_lognormal_lattice,
+    preset_preference,
+)
 from msrisk.sddp import (
     Cut,
     CutPool,
@@ -12,7 +26,6 @@ from msrisk.sddp import (
     _dedupe,
     stage_subproblem,
     train,
-    upper_value,
 )
 
 
@@ -113,6 +126,15 @@ class TestForwardPass:
         _, states = engine.forward_pass()
         assert len(states[2]) <= 3  # one state per stage-2 scenario, deduped
 
+    def test_full_enumeration_state_cap(self, monkeypatch):
+        lat = lattice(seed=5, T=3, K=3)
+        engine = MarsrmSddp(
+            lat, prefs=NEUTRAL, options=TrainOptions(full_enumeration=True)
+        )
+        monkeypatch.setattr(msrisk.sddp, "MAX_ENUMERATED_STATES", 1)
+        with pytest.raises(ValueError, match="full enumeration visits"):
+            engine.forward_pass()
+
 
 class TestBackwardPass:
     def test_risk_neutral_cut_is_expected_benders_cut(self):
@@ -155,13 +177,29 @@ class TestBackwardPass:
                 assert cut.intercept + cut.gradient @ x <= truth + 1e-7
 
 
+def envelope_value(engine_kind, lat, states, values, penalty):
+    """Stage-1 envelope value at ``x0`` of a fresh engine over the archive.
+
+    MARSRM archives one value per state; DR one per stage-2 scenario, here
+    ``values`` shifted by a fixed amount per scenario.
+    """
+    if engine_kind == "marsrm":
+        engine, V = MarsrmSddp(lat, prefs=HALF_CVAR), values
+    else:
+        amb = MomentAmbiguitySet.from_empirical([(0.2, 0.5), (0.8, 0.3)], [0.5, 0.5])
+        engine = DrSddp(lat, amb)
+        V = np.add.outer(values, np.linspace(0.0, 0.3, lat.size(2)))
+    return engine._envelope_value(1, 0, lat.x0, (np.asarray(states), V), penalty)
+
+
 class TestUpperValue:
     def test_terminal_is_exact_stage_value(self):
         lat = lattice(seed=9, T=2, K=3)
         r = lat.stage(2)[1]
         x1 = np.array([0.6, 0.4])
         direct = stage_subproblem(r, x1, cuts=None)
-        assert abs(upper_value(r, x1) - direct.solve().objective) < 1e-10
+        engine = MarsrmSddp(lat, prefs=HALF_CVAR)
+        assert abs(engine._solve_stage(2, 1, x1)[0] - direct.solve().objective) < 1e-10
 
     def test_archived_optimizer_gives_zero_gap(self):
         lat = lattice(seed=10, T=2, K=4)
@@ -172,32 +210,32 @@ class TestUpperValue:
         assert report.converged
         assert abs(report.final_upper - value) < 1e-6
 
-    def test_penalty_monotone(self):
+    @pytest.mark.parametrize("engine_kind", ["marsrm", "dr"])
+    def test_penalty_monotone(self, engine_kind):
         lat = lattice(seed=11, T=2, K=3)
-        r = lat.stage(1)[0]
-        archive = (np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([-1.0, -2.0]))
-        vals = [upper_value(r, lat.x0, archive, M) for M in (0.5, 1.0, 5.0)]
+        states, values = [[1.0, 0.0], [0.0, 1.0]], np.array([-1.0, -2.0])
+        vals = [envelope_value(engine_kind, lat, states, values, M) for M in (0.5, 1.0, 5.0)]
         assert vals[0] <= vals[1] + 1e-10 <= vals[2] + 2e-10
 
-    def test_penalty_independent_once_slack_inactive(self):
+    @pytest.mark.parametrize("engine_kind", ["marsrm", "dr"])
+    def test_penalty_independent_once_slack_inactive(self, engine_kind):
         # the budget simplex is covered by the two vertices, so the combo
         # needs no slack and the penalty constant cannot matter
         lat = lattice(seed=11, T=2, K=3)
-        r = lat.stage(1)[0]
-        archive = (np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([-1.0, -2.0]))
-        a = upper_value(r, lat.x0, archive, 50.0)
-        b = upper_value(r, lat.x0, archive, 5000.0)
+        states, values = [[1.0, 0.0], [0.0, 1.0]], np.array([-1.0, -2.0])
+        a = envelope_value(engine_kind, lat, states, values, 50.0)
+        b = envelope_value(engine_kind, lat, states, values, 5000.0)
         assert abs(a - b) < 1e-9
 
-    def test_envelope_nonincreasing_in_archive_growth(self):
+    @pytest.mark.parametrize("engine_kind", ["marsrm", "dr"])
+    def test_envelope_nonincreasing_in_archive_growth(self, engine_kind):
         lat = lattice(seed=17, T=2, K=3)
-        r = lat.stage(1)[0]
         rng = np.random.default_rng(4)
         pts = rng.dirichlet(np.ones(2), size=6)
         vals = -1.0 - rng.random(6)
         prev = np.inf
         for p_count in (2, 4, 6):
-            v = upper_value(r, lat.x0, (pts[:p_count], vals[:p_count]), 10.0)
+            v = envelope_value(engine_kind, lat, pts[:p_count], vals[:p_count], 10.0)
             assert v <= prev + 1e-10
             prev = v
 
@@ -312,3 +350,26 @@ def test_per_stage_lipschitz_prices_its_own_stage():
     engine = MarsrmSddp(lat, prefs=NEUTRAL, options=options)
     for t in (1, 2, 3):
         np.testing.assert_array_equal(engine._penalty(t), t * engine._coupled_columns(t))
+
+
+class TestUnsupported:
+    @staticmethod
+    def skewed_lattice():
+        base = lattice(seed=19, T=2, K=4)
+        skewed = [replace(r, prob=p) for r, p in zip(base.stage(2), (0.1, 0.2, 0.3, 0.4))]
+        return ScenarioLattice([base.stage(1), skewed])
+
+    def test_non_equiprobable_stage_rejected_everywhere(self):
+        lat = self.skewed_lattice()
+        weights = arsrm_weights(4, HALF_CVAR)
+        x1 = np.array([0.5, 0.5])
+        with pytest.raises(UnsupportedConfigurationError):
+            MarsrmSddp(lat, prefs=HALF_CVAR)
+        with pytest.raises(UnsupportedConfigurationError):
+            MarsrmSddp(lat, weights=weights)
+        with pytest.raises(UnsupportedConfigurationError):
+            extensive_form_marsrm(lat, weights=weights)
+        with pytest.raises(UnsupportedConfigurationError):
+            subtree_value(lat, 2, 0, x1, weights=weights)
+        with pytest.raises(UnsupportedConfigurationError):
+            cost_to_go_oracle(lat, 2, x1, weights=weights)
