@@ -326,18 +326,23 @@ def compare_modes(
     return rows
 
 
+def mode_preferences(inst: AssetInstance, mode: str):
+    """Preferences of a non-robust mode: the instance's own for ``marsrm``,
+    else the mode's preset under the config's spectrum builder."""
+    if mode == "marsrm":
+        return inst.preferences
+    if mode in MODE_PRESETS:
+        builder = config_spectrum_builder(inst.config)
+        return preset_preference(MODE_PRESETS[mode], spectrum_builder=builder)
+    raise ValueError(f"unknown mode {mode!r}")
+
+
 def run_mode(
     inst: AssetInstance, mode: str, options: Optional[TrainOptions] = None
 ) -> TrainReport:
     """Train one model variant on a built instance."""
-    if mode == "marsrm":
-        return train(inst.lattice, prefs=inst.preferences, options=options)
-    if mode in MODE_PRESETS:
-        builder = config_spectrum_builder(inst.config)
-        pref = preset_preference(MODE_PRESETS[mode], spectrum_builder=builder)
-        return train(inst.lattice, prefs=pref, options=options)
     if mode == "dr":
         if inst.ambiguities is None:
             raise ValueError("config has no ambiguity block; cannot run the dr mode")
         return dr_train(inst.lattice, inst.ambiguities, options=options)
-    raise ValueError(f"unknown mode {mode!r}")
+    return train(inst.lattice, prefs=mode_preferences(inst, mode), options=options)

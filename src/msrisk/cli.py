@@ -19,6 +19,7 @@ from .benchmark import (
     AssetInstanceConfig,
     build_asset_instance,
     compare_modes,
+    mode_preferences,
     run_mode,
     stage_max_returns,
     step_spectrum_error_bound,
@@ -26,7 +27,6 @@ from .benchmark import (
 )
 from .extensive import extensive_form_dr, extensive_form_marsrm
 from .lp import LpError, RecourseError
-from .scenario import preset_preference
 from .sddp import TrainOptions, TrainReport
 
 MODES = ("marsrm", "dr", "risk-neutral", "mild", "strong")
@@ -131,15 +131,8 @@ def _cmd_oracle(args) -> int:
         if inst.ambiguities is None:
             raise ValueError("config has no ambiguity block; cannot run the dr oracle")
         value = extensive_form_dr(inst.lattice, inst.ambiguities)
-    elif args.mode == "marsrm":
-        value = extensive_form_marsrm(inst.lattice, prefs=inst.preferences)
     else:
-        from .benchmark import MODE_PRESETS, config_spectrum_builder
-
-        pref = preset_preference(
-            MODE_PRESETS[args.mode], spectrum_builder=config_spectrum_builder(cfg)
-        )
-        value = extensive_form_marsrm(inst.lattice, prefs=pref)
+        value = extensive_form_marsrm(inst.lattice, prefs=mode_preferences(inst, args.mode))
     print(f"{args.mode} extensive-form value: {value!r}")
     return 0
 

@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .lp import LpError, LpModel, block_matrix, solve_arrays
+from .lp import LpError, block_matrix, solve_arrays
 from .risk import (
     ArsrmWeights,
     PreferenceDistribution,
@@ -71,12 +71,10 @@ class MomentAmbiguitySet:
         object.__setattr__(self, "Sigma", Sig)
         object.__setattr__(self, "spectra", spectra)
         M, m = self.moment_system()
-        probe = solve_arrays(np.zeros(self.size), A_eq=M, b_eq=m)
-        if not probe.is_optimal:
+        if not solve_arrays(np.zeros(self.size), A_eq=M, b_eq=m).is_optimal:
             raise ValueError(
                 "moment conditions admit no distribution on the given support"
             )
-        object.__setattr__(self, "_member", np.asarray(probe.x))
 
     @classmethod
     def from_empirical(
@@ -98,10 +96,6 @@ class MomentAmbiguitySet:
     @property
     def dim(self) -> int:
         return int(self.mu.size)
-
-    def member_q(self) -> np.ndarray:
-        """One feasible weight vector (from the construction-time LP)."""
-        return np.array(self._member)
 
     def moment_system(self) -> tuple[np.ndarray, np.ndarray]:
         """Equality system ``M q = m`` of the membership conditions.
@@ -264,61 +258,6 @@ def worst_case_arsrm_primal(values, amb: MomentAmbiguitySet, weights: ArsrmWeigh
     return -float(sol.objective)
 
 
-def dr_stage_subproblem(
-    realization,
-    x_prev,
-    scenario_cuts,
-    amb: MomentAmbiguitySet,
-    weights: ArsrmWeights,
-) -> LpModel:
-    """Robust stage subproblem as an inspectable ``LpModel``.
-
-    ``scenario_cuts`` is a list (one entry per next-stage scenario) of cut
-    lists; passing ``None`` marks the final stage, which carries none of the
-    robust machinery. Cut rows appear literally as
-    ``g + G x - eta_k <= Delta_{k,j}`` for every stored cut and level.
-    """
-    r = realization
-    rhs = r.b - r.E @ np.asarray(x_prev, dtype=float)
-    model = LpModel()
-    x = model.add_variables(r.num_vars, obj=r.c, lb=0.0)
-    if scenario_cuts is None:
-        for i in range(r.A.shape[0]):
-            keep = r.A[i] != 0.0
-            model.add_equality(x[keep], r.A[i][keep], rhs[i], tag=("balance", i))
-        return model
-    K = len(scenario_cuts)
-    if weights.K != K:
-        raise ValueError("weights were built for a different scenario count")
-    rows, obj = amb.dual_coefficients()
-    zdim = obj.size
-    caps = 1.0 / (1.0 - weights.alpha_levels)
-    zeta = model.add_variables(zdim, obj=obj, lb=None)
-    eta = model.add_variables(K, lb=None)
-    delta = model.add_variables(K * K, lb=0.0)
-    for i in range(r.A.shape[0]):
-        keep = r.A[i] != 0.0
-        model.add_equality(x[keep], r.A[i][keep], rhs[i], tag=("balance", i))
-    for l in range(amb.size):
-        idx = np.concatenate([zeta, eta, delta])
-        coef = np.concatenate(
-            [-rows[l], weights.beta[l], np.repeat(weights.beta[l] * caps / K, K)]
-        )
-        keep = coef != 0.0
-        model.add_inequality(idx[keep], coef[keep], 0.0, tag=("support", l))
-    for j, cuts in enumerate(scenario_cuts):
-        for n, cut in enumerate(cuts):
-            for k in range(K):
-                keep = cut.gradient != 0.0
-                model.add_inequality(
-                    np.concatenate([x[keep], [eta[k], delta[k * K + j]]]),
-                    np.concatenate([cut.gradient[keep], [-1.0, -1.0]]),
-                    -cut.intercept,
-                    tag=("cut", j, n, k),
-                )
-    return model
-
-
 class DrSddp(BoundIteration):
     """Multi-cut robust bound iteration over a scenario lattice.
 
@@ -387,7 +326,7 @@ class DrSddp(BoundIteration):
     def _add_cuts(self, t, x_prev, vals, grads):
         """One cut per scenario, each into that scenario's pool."""
         for j, pool in enumerate(self.pools[t]):
-            pool.add(Cut(vals[j] - grads[j] @ x_prev, grads[j], origin=(self._iteration, t)))
+            pool.add(Cut(vals[j] - grads[j] @ x_prev, grads[j]))
 
     def _risk_value(self, t, vals):
         return vals

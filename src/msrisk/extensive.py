@@ -18,7 +18,6 @@ import numpy as np
 
 from .dr import resolve_ambiguities, worst_case_arsrm
 from .lp import LpError, LpModel
-from .scenario import ScenarioLattice
 from .sddp import resolve_stage_weights
 
 MAX_ORACLE_VARIABLES = 200_000
@@ -98,24 +97,33 @@ def _solve_tree(lattice, risk, t, j, parent) -> float:
     return float(sol.objective)
 
 
-def _marsrm_risk(lattice, prefs, weights) -> dict:
-    """Per stage, the combination's CVaR terms: eta and Delta costs, no zeta."""
+def _subtree_values(lattice, risk, t, x_prev) -> list:
+    """Exact values of every stage-t scenario subtree at ``x_prev``."""
+    x_prev = np.asarray(x_prev, dtype=float)
+    return [_solve_tree(lattice, risk, t, j, x_prev) for j in range(lattice.size(t))]
+
+
+def _marsrm_risk(lattice, prefs, weights) -> tuple[dict, dict]:
+    """Per stage, the combination's CVaR terms (eta and Delta costs, no zeta),
+    and the stage weights they come from."""
+    ws = resolve_stage_weights(lattice, prefs=prefs, weights=weights)
     risk = {}
-    for t, w in resolve_stage_weights(lattice, prefs=prefs, weights=weights).items():
+    for t, w in ws.items():
         caps = 1.0 / (1.0 - w.alpha_levels)
         costs = np.concatenate([w.combined, np.repeat(w.combined * caps / w.K, w.K)])
         risk[t] = (costs, np.empty((0, costs.size)))
-    return risk
+    return risk, ws
 
 
 def extensive_form_marsrm(lattice, prefs=None, weights=None) -> float:
     """Exact optimal value of the nested risk-averse multistage problem."""
-    return _solve_tree(lattice, _marsrm_risk(lattice, prefs, weights), 1, 0, lattice.x0)
+    risk, _ = _marsrm_risk(lattice, prefs, weights)
+    return _solve_tree(lattice, risk, 1, 0, lattice.x0)
 
 
 def subtree_value(lattice, t, j, x_prev, prefs=None, weights=None) -> float:
     """Exact cost-to-go ``V_t(x_prev, xi_{t,j})`` of one scenario subtree."""
-    risk = _marsrm_risk(lattice, prefs, weights)
+    risk, _ = _marsrm_risk(lattice, prefs, weights)
     return _solve_tree(lattice, risk, t, j, np.asarray(x_prev, dtype=float))
 
 
@@ -125,19 +133,16 @@ def cost_to_go_oracle(lattice, t, x_prev, prefs=None, weights=None) -> float:
     This is the function the single-cut pools minorize, evaluated exactly by
     solving each scenario subtree and aggregating.
     """
-    ws = resolve_stage_weights(lattice, prefs=prefs, weights=weights)
-    vals = [
-        subtree_value(lattice, t, j, x_prev, prefs=prefs, weights=weights)
-        for j in range(lattice.size(t))
-    ]
-    return ws[t].aggregate(vals)
+    risk, ws = _marsrm_risk(lattice, prefs, weights)
+    return ws[t].aggregate(_subtree_values(lattice, risk, t, x_prev))
 
 
 # -- distributionally robust variant ------------------------------------------
 
 
-def _dr_risk(lattice, ambs) -> dict:
-    """Per stage, the moment-dual block: zeta costs and one row per support point.
+def _dr_risk(lattice, ambs) -> tuple[dict, dict, dict]:
+    """Per stage, the moment-dual block (zeta costs and one row per support
+    point), with the ambiguity sets and weights it comes from.
 
     Built here from the ambiguity set, apart from :func:`dr.moment_dual_block`,
     so the oracle stays an independent reference for the engine.
@@ -151,21 +156,23 @@ def _dr_risk(lattice, ambs) -> dict:
         costs = np.concatenate([obj, np.zeros(K + K * K)])
         support = np.hstack([-rows, w.beta, np.repeat(w.beta * caps / K, K, axis=1)])
         risk[t] = (costs, support)
-    return risk
+    return risk, amb_map, betas
 
 
 def extensive_form_dr(lattice, ambs) -> float:
     """Exact optimal value of the distributionally robust multistage problem."""
-    return _solve_tree(lattice, _dr_risk(lattice, ambs), 1, 0, lattice.x0)
+    risk, _, _ = _dr_risk(lattice, ambs)
+    return _solve_tree(lattice, risk, 1, 0, lattice.x0)
 
 
 def dr_subtree_value(lattice, t, j, x_prev, ambs) -> float:
     """Exact robust cost-to-go of one scenario subtree at ``x_prev``."""
-    return _solve_tree(lattice, _dr_risk(lattice, ambs), t, j, np.asarray(x_prev, dtype=float))
+    risk, _, _ = _dr_risk(lattice, ambs)
+    return _solve_tree(lattice, risk, t, j, np.asarray(x_prev, dtype=float))
 
 
 def dr_cost_to_go_oracle(lattice, t, x_prev, ambs) -> float:
     """Worst-case aggregated future risk at ``x_prev`` (robust counterpart)."""
-    amb_map, betas = resolve_ambiguities(lattice, ambs)
-    vals = [dr_subtree_value(lattice, t, j, x_prev, ambs) for j in range(lattice.size(t))]
+    risk, amb_map, betas = _dr_risk(lattice, ambs)
+    vals = _subtree_values(lattice, risk, t, x_prev)
     return worst_case_arsrm(vals, None, amb_map[t], betas[t])

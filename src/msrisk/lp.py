@@ -186,11 +186,11 @@ class ResolvableLp:
 
 
 class LpModel:
-    """Incremental sparse LP builder with optional symbolic tags.
+    """Incremental sparse LP builder.
 
-    Variables are indexed in creation order. Rows are equality or ``<=``
-    inequality. Tags (e.g. ``("stage", t, "budget")``) must be unique and are
-    kept for debugging and for locating rows whose duals a caller needs.
+    Variables and rows are indexed in creation order; rows are equality or
+    ``<=`` inequality, and each ``add_*`` returns the new index, which is
+    where the row's dual sits in the solution.
     """
 
     def __init__(self):
@@ -201,40 +201,28 @@ class LpModel:
         self._eq_rhs: list[float] = []
         self._ub_rows: list[tuple[np.ndarray, np.ndarray]] = []
         self._ub_rhs: list[float] = []
-        self._var_tags: dict = {}
-        self._eq_tags: dict = {}
-        self._ub_tags: dict = {}
 
     # -- variables ---------------------------------------------------------
-    def add_variable(self, obj=0.0, lb=0.0, ub=None, tag=None) -> int:
-        idx = len(self._obj)
+    def add_variable(self, obj=0.0, lb=0.0, ub=None) -> int:
         self._obj.append(float(obj))
         self._lb.append(-np.inf if lb is None else float(lb))
         self._ub.append(ub)
-        if tag is not None:
-            self._register(self._var_tags, tag, idx)
-        return idx
+        return len(self._obj) - 1
 
     def add_variables(self, count, obj=0.0, lb=0.0, ub=None) -> np.ndarray:
         objs = np.broadcast_to(np.asarray(obj, dtype=float), (count,))
         return np.array([self.add_variable(o, lb, ub) for o in objs])
 
     # -- rows ---------------------------------------------------------------
-    def add_equality(self, indices, coefficients, rhs, tag=None) -> int:
-        row = len(self._eq_rhs)
+    def add_equality(self, indices, coefficients, rhs) -> int:
         self._eq_rows.append(self._row(indices, coefficients))
         self._eq_rhs.append(float(rhs))
-        if tag is not None:
-            self._register(self._eq_tags, tag, row)
-        return row
+        return len(self._eq_rhs) - 1
 
-    def add_inequality(self, indices, coefficients, rhs, tag=None) -> int:
-        row = len(self._ub_rhs)
+    def add_inequality(self, indices, coefficients, rhs) -> int:
         self._ub_rows.append(self._row(indices, coefficients))
         self._ub_rhs.append(float(rhs))
-        if tag is not None:
-            self._register(self._ub_tags, tag, row)
-        return row
+        return len(self._ub_rhs) - 1
 
     def _row(self, indices, coefficients):
         idx = np.asarray(indices, dtype=int)
@@ -242,12 +230,6 @@ class LpModel:
         if idx.shape != coef.shape:
             raise ValueError("row indices and coefficients must align")
         return idx, coef
-
-    @staticmethod
-    def _register(table, tag, value):
-        if tag in table:
-            raise ValueError(f"duplicate tag {tag!r}")
-        table[tag] = value
 
     # -- introspection -------------------------------------------------------
     @property
@@ -257,12 +239,6 @@ class LpModel:
     @property
     def num_rows(self) -> tuple[int, int]:
         return len(self._eq_rhs), len(self._ub_rhs)
-
-    def eq_row(self, tag) -> int:
-        return self._eq_tags[tag]
-
-    def variable(self, tag) -> int:
-        return self._var_tags[tag]
 
     # -- assembly and solve ---------------------------------------------------
     def _matrix(self, rows, n):

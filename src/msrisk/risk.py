@@ -188,12 +188,6 @@ class StepSpectrum:
     def uniform(cls) -> "StepSpectrum":
         return cls(np.array([0.0, 1.0]), np.array([1.0]))
 
-    def integrate(self, a: float, b: float) -> float:
-        """Exact ``integral_a^b sigma(z) dz`` for ``0 <= a <= b <= 1``."""
-        z = self.breakpoints
-        widths = np.clip(np.minimum(b, z[1:]) - np.maximum(a, z[:-1]), 0.0, None)
-        return float(self.levels @ widths)
-
     def cell_integrals(self, grid: np.ndarray) -> np.ndarray:
         """Integrals over the consecutive cells of an increasing grid."""
         z = self.breakpoints
@@ -327,7 +321,7 @@ class ArsrmWeights:
             raise ValueError("q-weighted beta must sum to 1")
         object.__setattr__(self, "combined", _readonly(combined))
 
-    def aggregate(self, values, probs=None) -> float:
+    def aggregate(self, values) -> float:
         """``sum_k combined_k CVaR_{alpha_k}`` of K equiprobable values.
 
         At the grid levels ``alpha_k = (k-1)/K`` each CVaR is exactly the mean
@@ -338,12 +332,6 @@ class ArsrmWeights:
         K = self.K
         if v.size != K:
             raise ValueError(f"expected {K} values, got {v.size}")
-        if probs is not None:
-            p = np.asarray(probs, dtype=float)
-            if np.max(np.abs(p - 1.0 / K)) > EQUIPROBABLE_TOL:
-                raise UnsupportedConfigurationError(
-                    "CVaR-combination aggregation requires equiprobable scenarios"
-                )
         tail_means = np.cumsum(v[::-1])[::-1] / np.arange(K, 0, -1)
         return float(self.combined @ tail_means)
 

@@ -84,7 +84,6 @@ class Cut:
 
     intercept: float
     gradient: np.ndarray
-    origin: tuple = ()
 
     def __post_init__(self):
         g = np.array(self.gradient, dtype=float)
@@ -102,7 +101,7 @@ class CutPool:
     """
 
     def __init__(self, state_dim: int, big: float):
-        self._cuts: list[Cut] = [Cut(-abs(big), np.zeros(state_dim), origin=("initial",))]
+        self._cuts: list[Cut] = [Cut(-abs(big), np.zeros(state_dim))]
         self._stack: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     def add(self, cut: Cut) -> None:
@@ -126,12 +125,6 @@ class CutPool:
             g = np.array([c.intercept for c in self._cuts])
             self._stack = (G, g)
         return self._stack
-
-    def max_gradient_norm(self) -> float:
-        if len(self._cuts) == 1:
-            return 0.0
-        G, _ = self.matrices()
-        return float(np.max(np.abs(G[1:])))
 
     def max_gradient_per_coordinate(self) -> np.ndarray:
         G, _ = self.matrices()
@@ -246,37 +239,6 @@ def _dedupe(states: list[np.ndarray]) -> list[np.ndarray]:
     return list(seen.values())
 
 
-def stage_subproblem(realization, x_prev, cuts=None):
-    """Approximate stage subproblem as an inspectable ``LpModel``.
-
-    With ``cuts`` given the model carries the epigraph variable of the future
-    risk and one row per cut; without it (final stage) the model is the plain
-    stage LP. Equality rows are tagged ``("balance", i)`` so their duals can
-    be located for cut extraction.
-    """
-    from .lp import LpModel
-
-    r = realization
-    rhs = r.b - r.E @ np.asarray(x_prev, dtype=float)
-    model = LpModel()
-    x = model.add_variables(r.num_vars, obj=r.c, lb=0.0)
-    if cuts is not None:
-        theta = model.add_variable(obj=1.0, lb=None, tag="theta")
-    for i in range(r.A.shape[0]):
-        keep = r.A[i] != 0.0
-        model.add_equality(x[keep], r.A[i][keep], rhs[i], tag=("balance", i))
-    if cuts is not None:
-        for n, cut in enumerate(cuts):
-            keep = cut.gradient != 0.0
-            model.add_inequality(
-                np.concatenate([x[keep], [theta]]),
-                np.concatenate([cut.gradient[keep], [-1.0]]),
-                -cut.intercept,
-                tag=("cut", n),
-            )
-    return model
-
-
 class BoundIteration:
     """The SDDP bound iteration; subclasses supply the stage risk block.
 
@@ -308,7 +270,6 @@ class BoundIteration:
         self.visited = {t: {} for t in range(1, self.T)}
         self._coupling_masks = {}
         self._forward_rng = RngStream(self.options.seed).generator("forward")
-        self._iteration = 0
         self._live = {}  # key -> ResolvableLp, for the last stage LP solved only
 
     # -- stage solves --------------------------------------------------------
@@ -518,7 +479,6 @@ class BoundIteration:
         report = TrainReport()
         best_upper = np.inf
         for i in range(1, self.options.max_iterations + 1):
-            self._iteration = i
             t0 = time.perf_counter()
             lower, states = self.forward_pass()
             self.backward_pass(states)
@@ -566,7 +526,7 @@ class MarsrmSddp(BoundIteration):
         omega = self.weights[t].scenario_reweighting(vals)
         G = (omega / K) @ grads
         value = float(omega @ vals / K)
-        self.pools[t].add(Cut(value - G @ x_prev, G, origin=(self._iteration, t)))
+        self.pools[t].add(Cut(value - G @ x_prev, G))
 
     def _risk_value(self, t, vals):
         return self.weights[t].aggregate(vals)

@@ -13,8 +13,9 @@ from msrisk.benchmark import (
     wealth_phi_integrals,
 )
 from msrisk.extensive import extensive_form_marsrm
-from msrisk.risk import ArsrmWeights, PreferenceDistribution, StepSpectrum
-from msrisk.sddp import TrainOptions, stage_subproblem
+from msrisk.risk import PreferenceDistribution, StepSpectrum
+from msrisk.sddp import TrainOptions
+from references import stage_subproblem
 
 
 def tiny_config(**kw):

@@ -1,10 +1,16 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import msrisk
+from msrisk.benchmark import AssetInstanceConfig, build_asset_instance
 from msrisk.cli import main
+from msrisk.extensive import extensive_form_marsrm
+from msrisk.scenario import preset_preference, projected_builder
 
 
 @pytest.fixture
@@ -86,6 +92,16 @@ def test_oracle_dr(config_path, capsys):
     assert "dr extensive-form value" in capsys.readouterr().out
 
 
+def test_oracle_preset_mode_uses_the_preset(config_path, capsys):
+    # the config's own preference is a dirac; the strong mode replaces it by
+    # the strong_averse preset on the config's 10-cell spectrum grid
+    assert main(["oracle", "--mode", "strong", "--config", str(config_path)]) == 0
+    lattice = build_asset_instance(AssetInstanceConfig.from_json(config_path)).lattice
+    pref = preset_preference("strong_averse", spectrum_builder=projected_builder(10))
+    want = extensive_form_marsrm(lattice, prefs=pref)
+    assert capsys.readouterr().out == f"strong extensive-form value: {want!r}\n"
+
+
 def test_compare_outputs_table(tmp_path, config_path, capsys):
     out = tmp_path / "cmp"
     code = main(
@@ -145,8 +161,12 @@ def test_unknown_mode_exits_nonzero():
 
 
 def test_console_entry_point_runs():
+    # the child imports the package the suite imported, installed or not
+    src = str(Path(msrisk.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     proc = subprocess.run(
-        [sys.executable, "-m", "msrisk", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "msrisk", "--help"], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0
     assert "solve" in proc.stdout and "oracle" in proc.stdout

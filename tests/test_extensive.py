@@ -9,7 +9,8 @@ points and endpoints is exact.
 import numpy as np
 import pytest
 
-from msrisk.dr import MomentAmbiguitySet
+import msrisk.extensive
+from msrisk.dr import MomentAmbiguitySet, worst_case_arsrm
 from msrisk.extensive import (
     cost_to_go_oracle,
     dr_cost_to_go_oracle,
@@ -19,7 +20,7 @@ from msrisk.extensive import (
     subtree_value,
 )
 from msrisk.lp import LpError
-from msrisk.risk import DiscreteDistribution, PreferenceDistribution, cvar
+from msrisk.risk import DiscreteDistribution, PreferenceDistribution, arsrm_weights, cvar
 from msrisk.scenario import (
     RngStream,
     ScenarioLattice,
@@ -197,3 +198,33 @@ class TestDrOracle:
         d = DiscreteDistribution.from_values(vals)
         want = 0.5 * d.mean() + 0.5 * cvar(d, 0.4)
         assert abs(dr_cost_to_go_oracle(lat, 2, x1, amb) - want) < 1e-7
+
+
+def counted(monkeypatch, name):
+    """Replace ``msrisk.extensive.<name>`` by a wrapper; the list of its calls."""
+    calls, real = [], getattr(msrisk.extensive, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(msrisk.extensive, name, wrapper)
+    return calls
+
+
+def test_cost_to_go_oracles_resolve_the_stages_once(monkeypatch):
+    # one resolution per oracle call, not one per scenario subtree; the value
+    # is still exactly the aggregate of the subtree values
+    lat = build_lognormal_lattice(3, 2, 0.6, 0.3, 0.5, 3, RngStream(12), transaction_cost=0.0)
+    pref = preset_preference("dirac", lam=0.0, alpha=0.5)
+    amb = MomentAmbiguitySet.from_empirical([(0.2, 0.5), (0.8, 0.3)], [0.5, 0.5])
+    x1 = np.array([0.3, 0.7])
+    marsrm = [subtree_value(lat, 2, j, x1, prefs=pref) for j in range(3)]
+    dr = [dr_subtree_value(lat, 2, j, x1, amb) for j in range(3)]
+    weights = counted(monkeypatch, "resolve_stage_weights")
+    ambiguities = counted(monkeypatch, "resolve_ambiguities")
+    assert cost_to_go_oracle(lat, 2, x1, prefs=pref) == arsrm_weights(3, pref).aggregate(marsrm)
+    assert len(weights) == 1
+    want = worst_case_arsrm(dr, None, amb, amb.stage_weights(3))
+    assert dr_cost_to_go_oracle(lat, 2, x1, amb) == want
+    assert len(ambiguities) == 1

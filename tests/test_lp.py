@@ -9,11 +9,11 @@ def test_equality_dual_sensitivity_convention():
     # min x s.t. x = 3: objective 3, eq dual 1
     m = LpModel()
     x = m.add_variable(obj=1.0, lb=None)
-    m.add_equality([x], [1.0], 3.0, tag="pin")
+    pin = m.add_equality([x], [1.0], 3.0)
     sol = m.solve()
     assert sol.is_optimal
     assert abs(sol.objective - 3.0) < 1e-9
-    assert abs(sol.eq_duals[m.eq_row("pin")] - 1.0) < 1e-9
+    assert abs(sol.eq_duals[pin] - 1.0) < 1e-9
 
 
 def test_bounded_maximization():
@@ -126,13 +126,6 @@ def test_duality_gap_and_residuals():
     assert residual <= 1e-7
     dual_obj = float(sol.eq_duals @ b)  # reduced costs vanish at optimum
     assert abs(dual_obj - sol.objective) <= 1e-7 * max(1.0, abs(sol.objective))
-
-
-def test_tags_unique():
-    m = LpModel()
-    m.add_variable(tag="x")
-    with pytest.raises(ValueError):
-        m.add_variable(tag="x")
 
 
 def test_block_matrix_dense_when_small_sparse_when_large(monkeypatch):

@@ -18,15 +18,8 @@ from msrisk.scenario import (
     build_lognormal_lattice,
     preset_preference,
 )
-from msrisk.sddp import (
-    Cut,
-    CutPool,
-    MarsrmSddp,
-    TrainOptions,
-    _dedupe,
-    stage_subproblem,
-    train,
-)
+from msrisk.sddp import Cut, CutPool, MarsrmSddp, TrainOptions, _dedupe, train
+from references import stage_subproblem
 
 
 def lattice(seed=0, T=2, assets=2, K=4, f=0.0):
@@ -60,7 +53,7 @@ class TestStageSubproblem:
         model = stage_subproblem(r, np.array([0.7, 0.3]), cuts=[floor])
         sol = model.solve()
         assert sol.is_optimal
-        theta = sol.x[model.variable("theta")]
+        theta = sol.x[-1]  # the epigraph column is the last
         assert abs(theta - (-50.0)) < 1e-9
 
     def test_engine_matches_model_builder(self):
@@ -177,19 +170,21 @@ class TestBackwardPass:
                 assert cut.intercept + cut.gradient @ x <= truth + 1e-7
 
 
-def envelope_value(engine_kind, lat, states, values, penalty):
-    """Stage-1 envelope value at ``x0`` of a fresh engine over the archive.
+def envelope_value(engine_kind, lat, states, values, penalty, t=1, x_prev=None):
+    """Stage-t envelope value (scenario 0; at ``x0`` for t=1) of a fresh engine
+    over the archive.
 
-    MARSRM archives one value per state; DR one per stage-2 scenario, here
-    ``values`` shifted by a fixed amount per scenario.
+    MARSRM archives one value per state; DR one per stage-(t+1) scenario,
+    here ``values`` shifted by a fixed amount per scenario.
     """
     if engine_kind == "marsrm":
         engine, V = MarsrmSddp(lat, prefs=HALF_CVAR), values
     else:
         amb = MomentAmbiguitySet.from_empirical([(0.2, 0.5), (0.8, 0.3)], [0.5, 0.5])
         engine = DrSddp(lat, amb)
-        V = np.add.outer(values, np.linspace(0.0, 0.3, lat.size(2)))
-    return engine._envelope_value(1, 0, lat.x0, (np.asarray(states), V), penalty)
+        V = np.add.outer(values, np.linspace(0.0, 0.3, lat.size(t + 1)))
+    x_prev = lat.x0 if x_prev is None else x_prev
+    return engine._envelope_value(t, 0, x_prev, (np.asarray(states), V), penalty)
 
 
 class TestUpperValue:
@@ -212,10 +207,17 @@ class TestUpperValue:
 
     @pytest.mark.parametrize("engine_kind", ["marsrm", "dr"])
     def test_penalty_monotone(self, engine_kind):
-        lat = lattice(seed=11, T=2, K=3)
-        states, values = [[1.0, 0.0], [0.0, 1.0]], np.array([-1.0, -2.0])
-        vals = [envelope_value(engine_kind, lat, states, values, M) for M in (0.5, 1.0, 5.0)]
-        assert vals[0] <= vals[1] + 1e-10 <= vals[2] + 2e-10
+        # the stage-2 wealth at x_prev = (2, 2) exceeds that of every archived
+        # state, so no convex combination reaches x and the l1 slack is priced
+        lat = lattice(seed=11, T=3, K=3)
+        states = np.zeros((2, lat.num_vars(2)))
+        states[[0, 1], [0, 1]] = 1.0
+        values, x_prev = np.array([-1.0, -2.0]), np.array([2.0, 2.0])
+        vals = [
+            envelope_value(engine_kind, lat, states, values, M, t=2, x_prev=x_prev)
+            for M in (0.5, 1.0, 5.0, 50.0)
+        ]
+        assert np.all(np.diff(vals) > 1e-6), vals
 
     @pytest.mark.parametrize("engine_kind", ["marsrm", "dr"])
     def test_penalty_independent_once_slack_inactive(self, engine_kind):
@@ -307,10 +309,10 @@ class TestTrain:
 def test_cut_pool_floor_and_count():
     pool = CutPool(3, big=1e9)
     assert pool.count == 0
-    assert pool.max_gradient_norm() == 0.0
+    assert pool.max_gradient_per_coordinate().tolist() == [0.0, 0.0, 0.0]
     pool.add(Cut(1.0, np.array([1.0, -4.0, 2.0])))
     assert pool.count == 1
-    assert pool.max_gradient_norm() == 4.0
+    assert pool.max_gradient_per_coordinate().tolist() == [1.0, 4.0, 2.0]
     G, g = pool.matrices()
     assert G.shape == (2, 3) and g[0] == -1e9
     with pytest.raises(ValueError):
