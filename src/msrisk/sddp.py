@@ -247,13 +247,18 @@ class BoundIteration:
     * ``_add_cuts(t, x_prev, vals, grads)``: cuts from the stage-t scenario
       values and gradients at ``x_prev``;
     * ``_risk_value(t, vals)``: the archived value from scenario upper values;
-    * ``_envelope_block(t, n, values)``: where the envelope values go in the
-      stage-t envelope LP (see ``_envelope_value``), as ``(costs, A_ub,
-      b_ub, bounds)`` with the costs and bounds of every column after ``x``;
+    * ``_envelope_block(t, n, values)``: where the envelope values go in a
+      stage-t scenario's envelope LP (see ``_envelope_values``), as
+      ``(costs, A_ub, b_ub, bounds)`` with the costs and bounds of every
+      column after ``x``; the rows and costs are the same for every
+      scenario, and a single envelope value (one ``values`` row) goes in the
+      objective with no rows, so the scenarios' LPs can be solved as one;
     * ``_stage_pools(t)``: the cut pools of stage t.
 
     Each engine binds the three passes in its own class body, so one
     engine's passes can be wrapped (to profile them, say) apart from the other's.
+    The upper sweep makes one envelope call per visited state: MARSRM's K
+    scenario LPs go to the solver as one block-diagonal LP, DR's one by one.
     """
 
     def __init__(self, lattice: ScenarioLattice, options=None):
@@ -303,22 +308,28 @@ class BoundIteration:
             raise LpError(f"stage {t}, scenario {j}: LP is {sol.status}{note}")
         return float(sol.objective), sol.x[:n], sol.eq_duals if need_duals else None
 
-    def _envelope_value(self, t, j, x_prev, archive, penalty):
-        """Upper value of stage-t scenario ``j`` at ``x_prev`` over the archive.
+    def _envelope_values(self, t, x_prev, archive, penalty):
+        """Upper values of the stage-t scenarios at ``x_prev`` over the archive.
 
         ``archive`` holds the states ``X`` (one per row) and their values
         ``V``, a ``(P, E)`` array with one column per envelope (E=1 for
-        MARSRM, one per next-stage scenario for DR). The LP has the columns
-        ``[x | risk columns | lam_e (P each) | yp_e | ym_e]``; for each e,
-        ``-x + X' lam_e + yp_e - ym_e = 0`` and ``sum(lam_e) = 1`` steer a
-        convex combination of archived states to ``x``, and the envelope
-        value ``V[:, e] . lam_e + M . (yp_e + ym_e)`` prices the l1 slack at
-        ``M = penalty`` (scalar or per coordinate), which must dominate the
-        future risk's Lipschitz modulus for the value to stay an upper bound.
-        ``_envelope_block`` says where the envelope values go.
+        MARSRM, one per next-stage scenario for DR). Scenario j's LP has the
+        columns ``[x | risk columns | lam_e (P each) | yp_e | ym_e]``; for
+        each e, ``-x + X' lam_e + yp_e - ym_e = 0`` and ``sum(lam_e) = 1``
+        steer a convex combination of archived states to ``x``, and the
+        envelope value ``V[:, e] . lam_e + M . (yp_e + ym_e)`` prices the l1
+        slack at ``M = penalty`` (scalar or per coordinate), which must
+        dominate the future risk's Lipschitz modulus for the value to stay an
+        upper bound. ``_envelope_block`` says where the envelope values go.
+
+        Only ``A``, ``c`` and the balance rhs differ between scenarios. With
+        one envelope (E=1) the K scenario LPs are small and share no row, so
+        they are solved as one block-diagonal LP, and scenario j's value is
+        ``c_j . x_j`` over its block. With E=K envelopes each LP carries K
+        archive copies and is solved on its own.
         """
-        r = self.lattice.stage(t)[j]
-        n, m = r.num_vars, r.A.shape[0]
+        reals = self.lattice.stage(t)
+        K, n, m = len(reals), self.lattice.num_vars(t), reals[0].A.shape[0]
         X, V = archive
         V = np.reshape(V, (len(X), -1))
         P, E = V.shape
@@ -327,21 +338,46 @@ class BoundIteration:
         lam[diag, diag], slack[diag, diag] = V.T, penalty
         values = np.hstack([lam.reshape(E, -1), slack.reshape(E, -1), slack.reshape(E, -1)])
         costs, A_ub, b_ub, bounds = self._envelope_block(t, n, values)
-        c = np.concatenate([r.c, costs])
-        lam0, I = c.size - values.shape[1], np.eye(n)
-        blocks = [(0, 0, r.A)]
+        width, height = n + costs.size, m + E * n + E
+        lam0, I = width - values.shape[1], np.eye(n)
+        blocks = []
         for e in range(E):
-            row, col, yp = m + e * n, lam0 + e * P, lam0 + E * P + e * n
+            row, col, yp = e * n, lam0 + e * P, lam0 + E * P + e * n
             blocks += [(row, 0, -I), (row, col, X.T), (row, yp, I), (row, yp + E * n, -I)]
-            blocks.append((m + E * n + e, col, np.ones(P)))
-        A_eq = block_matrix((m + E * n + E, c.size), blocks)
-        b_eq = np.concatenate([r.b - r.E @ x_prev, np.zeros(E * n), np.ones(E)])
-        sol = solve_arrays(
-            c, A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub, bounds=[(0, None)] * n + bounds
-        )
-        if not sol.is_optimal:
-            raise RecourseError(f"stage {t}, scenario {j}: upper envelope LP is {sol.status}")
-        return float(sol.objective)
+            blocks.append((E * n + e, col, np.ones(P)))
+        # the rows below the balance rows, the same in every scenario's LP
+        tail = block_matrix((height - m, width), blocks)
+        b_tail = np.concatenate([np.zeros(E * n), np.ones(E)])
+        bounds = [(0, None)] * n + bounds
+
+        def solve(js):
+            G = len(js)
+            A_eq = block_matrix(
+                (G * height, G * width),
+                [
+                    (i * height + r0, i * width, block)
+                    for i, j in enumerate(js)
+                    for r0, block in ((0, reals[j].A), (m, tail))
+                ],
+            )
+            c = np.concatenate([np.concatenate([reals[j].c, costs]) for j in js])
+            b_eq = np.concatenate(
+                [np.concatenate([reals[j].b - reals[j].E @ x_prev, b_tail]) for j in js]
+            )
+            sol = solve_arrays(c, A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub, bounds=bounds * G)
+            if not sol.is_optimal:
+                if G == 1:
+                    raise RecourseError(
+                        f"stage {t}, scenario {js[0]}: upper envelope LP is {sol.status}"
+                    )
+                # one scenario at a time, so the error names the first that fails
+                return [v for j in js for v in solve([j])]
+            if G == 1:
+                return [float(sol.objective)]
+            return [float(cj @ xj) for cj, xj in zip(np.split(c, G), np.split(sol.x, G))]
+
+        group = K if E == 1 else 1
+        return np.array([v for j in range(0, K, group) for v in solve(range(j, j + group))])
 
     # -- penalty selection -----------------------------------------------------
     def _coupled_columns(self, t: int) -> np.ndarray:
@@ -439,16 +475,14 @@ class BoundIteration:
             group = list(self.visited[t - 1].values()) if states is None else states[t - 1]
             for x_prev in group:
                 if t == self.T:  # the exact stage LP is the terminal upper value
-                    vals = [self._solve_stage(t, j, x_prev)[0] for j in range(K)]
+                    vals = np.array([self._solve_stage(t, j, x_prev)[0] for j in range(K)])
                 else:
-                    vals = [
-                        self._envelope_value(t, j, x_prev, archive, penalty)
-                        for j in range(K)
-                    ]
-                self._archive_store(t - 1, x_prev, self._risk_value(t, np.array(vals)))
-        return self._envelope_value(
-            1, 0, self.lattice.x0, self._archive_arrays(1), self._penalty(1)
+                    vals = self._envelope_values(t, x_prev, archive, penalty)
+                self._archive_store(t - 1, x_prev, self._risk_value(t, vals))
+        (upper,) = self._envelope_values(
+            1, self.lattice.x0, self._archive_arrays(1), self._penalty(1)
         )
+        return float(upper)
 
     def _archive_store(self, t, x, value):
         """Keep the lowest value per state: a scalar, or one per scenario."""

@@ -49,6 +49,20 @@ def priced_lattice():
     )
 
 
+def costed_lattice():
+    """``lattice()`` with the trade cost in the budget row of ``A`` differing per scenario."""
+    lat = lattice()
+    stages = [lat.stage(1)]
+    for t in range(2, lat.horizon + 1):
+        reals = []
+        for j, r in enumerate(lat.stage(t)):
+            A, assets = r.A.copy(), r.num_vars // 4
+            A[0, assets : 2 * assets] = 0.01 * (1 + j)
+            reals.append(StageRealization(r.c, r.b, A, r.E, r.prob))
+        stages.append(reals)
+    return ScenarioLattice(stages)
+
+
 def ambiguity(seed=4, size=4):
     rng = np.random.default_rng(seed)
     support = np.column_stack([rng.uniform(0.05, 0.95, size), rng.uniform(0.05, 0.9, size)])
@@ -102,7 +116,7 @@ def bound_columns(report):
 
 
 @pytest.mark.parametrize("kind", ["marsrm", "dr"])
-@pytest.mark.parametrize("make_lattice", [lattice, priced_lattice])
+@pytest.mark.parametrize("make_lattice", [lattice, priced_lattice, costed_lattice])
 def test_every_live_solve_matches_a_cold_rebuild(kind, make_lattice):
     lat = make_lattice()
     eng = engine(kind, lat)
