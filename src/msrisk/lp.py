@@ -56,30 +56,19 @@ def block_matrix(shape, blocks):
     Up to ``_DENSE_MAX_CELLS`` cells it is a dense array; beyond, a COO matrix
     of the blocks' nonzeros with 32-bit indices, as HiGHS takes them and as
     scipy picks for dense input, so HiGHS receives the same model either way.
-    A block may itself be such a matrix, so a part shared by several
-    matrices is assembled once.
     """
-    blocks = [
-        (r0, c0, block if sparse.issparse(block) else np.atleast_2d(block))
-        for r0, c0, block in blocks
-    ]
+    blocks = [(r0, c0, np.atleast_2d(block)) for r0, c0, block in blocks]
     if shape[0] * shape[1] <= _DENSE_MAX_CELLS:
         out = np.zeros(shape)
         for r0, c0, block in blocks:
-            dense = block.toarray() if sparse.issparse(block) else block
-            out[r0 : r0 + block.shape[0], c0 : c0 + block.shape[1]] = dense
+            out[r0 : r0 + block.shape[0], c0 : c0 + block.shape[1]] = block
         return out
     rows, cols, vals = [], [], []
     for r0, c0, block in blocks:
-        if sparse.issparse(block):
-            block = sparse.coo_array(block)
-            r, c, v = block.row, block.col, block.data
-        else:
-            r, c = np.nonzero(block)
-            v = block[r, c]
+        r, c = np.nonzero(block)
         rows.append(r + r0)
         cols.append(c + c0)
-        vals.append(v)
+        vals.append(block[r, c])
     rows, cols = (np.concatenate(x).astype(np.int32) for x in (rows, cols))
     return sparse.coo_array((np.concatenate(vals), (rows, cols)), shape=shape)
 

@@ -250,15 +250,15 @@ class BoundIteration:
     * ``_envelope_block(t, n, values)``: where the envelope values go in a
       stage-t scenario's envelope LP (see ``_envelope_values``), as
       ``(costs, A_ub, b_ub, bounds)`` with the costs and bounds of every
-      column after ``x``; the rows and costs are the same for every
-      scenario, and a single envelope value (one ``values`` row) goes in the
-      objective with no rows, so the scenarios' LPs can be solved as one;
+      column after ``x``, the same for every scenario; a block without rows
+      (``A_ub`` None) lets the scenarios' LPs be solved as one;
     * ``_stage_pools(t)``: the cut pools of stage t.
 
     Each engine binds the three passes in its own class body, so one
     engine's passes can be wrapped (to profile them, say) apart from the other's.
     The upper sweep makes one envelope call per visited state: MARSRM's K
-    scenario LPs go to the solver as one block-diagonal LP, DR's one by one.
+    scenario LPs go to the solver as one block-diagonal LP, DR's (whose
+    envelope block has rows) one by one.
     """
 
     def __init__(self, lattice: ScenarioLattice, options=None):
@@ -322,11 +322,12 @@ class BoundIteration:
         dominate the future risk's Lipschitz modulus for the value to stay an
         upper bound. ``_envelope_block`` says where the envelope values go.
 
-        Only ``A``, ``c`` and the balance rhs differ between scenarios. With
-        one envelope (E=1) the K scenario LPs are small and share no row, so
-        they are solved as one block-diagonal LP, and scenario j's value is
-        ``c_j . x_j`` over its block. With E=K envelopes each LP carries K
-        archive copies and is solved on its own.
+        Only ``A``, ``c`` and the balance rhs differ between scenarios. When
+        the envelope block has no rows (MARSRM: the one envelope value is the
+        objective), the K scenario LPs share no row and are solved as one
+        block-diagonal LP, and scenario j's value is ``c_j . x_j`` over its
+        block. Otherwise (DR: rows bound the robust columns) each scenario's
+        LP is solved on its own.
         """
         reals = self.lattice.stage(t)
         K, n, m = len(reals), self.lattice.num_vars(t), reals[0].A.shape[0]
@@ -340,13 +341,12 @@ class BoundIteration:
         costs, A_ub, b_ub, bounds = self._envelope_block(t, n, values)
         width, height = n + costs.size, m + E * n + E
         lam0, I = width - values.shape[1], np.eye(n)
-        blocks = []
+        # the blocks below the balance rows, the same in every scenario's LP
+        tail = []
         for e in range(E):
-            row, col, yp = e * n, lam0 + e * P, lam0 + E * P + e * n
-            blocks += [(row, 0, -I), (row, col, X.T), (row, yp, I), (row, yp + E * n, -I)]
-            blocks.append((E * n + e, col, np.ones(P)))
-        # the rows below the balance rows, the same in every scenario's LP
-        tail = block_matrix((height - m, width), blocks)
+            row, col, yp = m + e * n, lam0 + e * P, lam0 + E * P + e * n
+            tail += [(row, 0, -I), (row, col, X.T), (row, yp, I), (row, yp + E * n, -I)]
+            tail.append((m + E * n + e, col, np.ones(P)))
         b_tail = np.concatenate([np.zeros(E * n), np.ones(E)])
         bounds = [(0, None)] * n + bounds
 
@@ -355,9 +355,9 @@ class BoundIteration:
             A_eq = block_matrix(
                 (G * height, G * width),
                 [
-                    (i * height + r0, i * width, block)
+                    (i * height + r0, i * width + c0, block)
                     for i, j in enumerate(js)
-                    for r0, block in ((0, reals[j].A), (m, tail))
+                    for r0, c0, block in [(0, 0, reals[j].A), *tail]
                 ],
             )
             c = np.concatenate([np.concatenate([reals[j].c, costs]) for j in js])
@@ -376,7 +376,7 @@ class BoundIteration:
                 return [float(sol.objective)]
             return [float(cj @ xj) for cj, xj in zip(np.split(c, G), np.split(sol.x, G))]
 
-        group = K if E == 1 else 1
+        group = K if A_ub is None else 1
         return np.array([v for j in range(0, K, group) for v in solve(range(j, j + group))])
 
     # -- penalty selection -----------------------------------------------------

@@ -1,11 +1,12 @@
 """The upper sweep's envelope LPs against per-scenario references.
 
 ``BoundIteration._envelope_values`` solves a stage's K scenario envelope LPs
-at one state as one block-diagonal LP when each has a single envelope
-(MARSRM) and one by one when each has K (DR). These tests check its values
-against the literal per-scenario LPs of ``references.envelope_subproblem``,
-that a failed block names the first failing scenario, and that every
-archived value stays above the cut model at its state.
+at one state as one block-diagonal LP when the envelope block adds no rows
+(MARSRM) and one by one when it does (DR, whatever the next stage's
+scenario count). These tests check its values against the literal
+per-scenario LPs of ``references.envelope_subproblem``, that a failed block
+names the first failing scenario, and that every archived value stays above
+the cut model at its state.
 """
 
 import numpy as np
@@ -15,6 +16,11 @@ import msrisk.sddp
 from msrisk.lp import RecourseError, solve_arrays
 from references import envelope_subproblem
 from test_live_lp import costed_lattice, engine, lattice, priced_lattice
+
+
+def narrowing_lattice():
+    """Three scenarios at stages 2 and 3, then one: one envelope per stage-3 DR LP."""
+    return lattice(K=[3, 3, 1])
 
 
 def envelope_calls(eng, t):
@@ -34,7 +40,9 @@ def reference_values(eng, t, x_prev, archive, penalty):
 
 
 @pytest.mark.parametrize("kind", ["marsrm", "dr"])
-@pytest.mark.parametrize("make_lattice", [lattice, priced_lattice, costed_lattice])
+@pytest.mark.parametrize(
+    "make_lattice", [lattice, priced_lattice, costed_lattice, narrowing_lattice]
+)
 def test_envelope_values_match_per_scenario_lps(kind, make_lattice, monkeypatch):
     lat = make_lattice()
     eng = engine(kind, lat)

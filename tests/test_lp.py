@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse
 
 import msrisk.lp
 from msrisk.lp import LpModel, ResolvableLp, block_matrix, solve_arrays
@@ -137,19 +136,13 @@ def test_block_matrix_dense_when_small_sparse_when_large(monkeypatch):
         (8, 1, np.ones(6)),
         (1, 7, 2.5),
     ]
-    # a block may be a sparse matrix, as block_matrix returns beyond the cutoff
-    with_sparse = [*blocks[:1], (3, 2, scipy.sparse.coo_array(-np.eye(5))), *blocks[2:]]
     small = block_matrix((9, 8), blocks)
     assert isinstance(small, np.ndarray)
-    np.testing.assert_array_equal(block_matrix((9, 8), with_sparse), small)
     monkeypatch.setattr(msrisk.lp, "_DENSE_MAX_CELLS", 0)
     large = block_matrix((9, 8), blocks)
     assert large.format == "coo" and large.row.dtype == large.col.dtype == np.int32
     np.testing.assert_array_equal(large.toarray(), small)
     assert large.nnz == np.count_nonzero(small)  # no stored zeros
-    mixed = block_matrix((9, 8), with_sparse)
-    assert mixed.nnz == large.nnz and mixed.row.dtype == np.int32
-    np.testing.assert_array_equal(mixed.toarray(), small)
     c, b = -rng.random(8), small @ np.full(8, 0.5)
     dense, sparse = (solve_arrays(c, A_ub=A, b_ub=b, bounds=(0, 1)) for A in (small, large))
     assert dense.objective < 0.0 and dense.objective == sparse.objective
