@@ -1,15 +1,21 @@
 """Exact extensive-form oracles for small multistage instances.
 
 Builds one monolithic LP over the whole scenario tree with one recursive node
-builder. Every internal node carries a risk block over the columns ``[zeta,
-eta, Delta]``: each CVaR of the next stage's combination in its
-eta-minimization form, with shortfall variables Delta, which is exact because
-all the combination weights are nonnegative. MARSRM prices eta and Delta with
-the combination weights and has no zeta; the distributionally robust variant
-prices the moment-dual variables zeta and bounds the combination by one
-support row per support point. Intended as a ground-truth reference at desk
-scale; a size guard refuses trees that would exceed ``MAX_ORACLE_VARIABLES``
-variables.
+builder. Every internal node carries a risk block: each CVaR of the next
+stage's combination in its eta-minimization form, with nonnegative shortfall
+columns Delta_{k,j} per level k and child j, which is exact because all the
+combination weights are nonnegative. The block's costs and support rows are
+given over ``[zeta, eta, s]``: a level's shortfalls share one weight, so the
+level sum ``s_k = sum_j Delta_{k,j}`` stands for them. MARSRM prices eta and
+the shortfalls with the combination weights and has no zeta; the
+distributionally robust variant prices the moment-dual variables zeta and
+bounds the combination by one support row per support point, which reads K
+free level-sum columns, tied to the Delta by K equality rows. A level that no
+cost or support row weighs gets no columns and no rows. Each internal node
+below the root holds its priced cost in one free column z, tied to it by one
+equality row, so its parent's link rows read z alone. Intended as a
+ground-truth reference at desk scale; a size guard refuses trees that would
+exceed ``MAX_ORACLE_VARIABLES`` variables.
 """
 
 from __future__ import annotations
@@ -17,40 +23,65 @@ from __future__ import annotations
 import numpy as np
 
 from .dr import resolve_ambiguities, worst_case_arsrm
-from .lp import LpError, LpModel
+from .lp import LpError, LpModel, ResolvableLp, saved_note
 from .sddp import resolve_stage_weights
 
 MAX_ORACLE_VARIABLES = 200_000
 
 
-def _check_size(lattice, root_stage, risk):
+def _levels(block, K) -> np.ndarray:
+    """The CVaR levels that some cost or support row of a risk block weighs."""
+    costs, support = block
+    weights = np.vstack([costs, support])[:, costs.size - 2 * K :]
+    return np.flatnonzero(np.any(weights.reshape(-1, 2, K) != 0.0, axis=(0, 1)))
+
+
+def _check_size(lattice, root_stage, risk) -> int:
+    """The number of columns ``_add_node`` builds for a tree rooted at
+    ``root_stage``; raises :class:`LpError` above ``MAX_ORACLE_VARIABLES``."""
     width, n = 1, 0
     for t in range(root_stage, lattice.horizon + 1):
         if t > root_stage:
             width *= lattice.size(t)
         n += width * lattice.num_vars(t)
         if t < lattice.horizon:
-            n += width * risk[t + 1][0].size
+            K = lattice.size(t + 1)
+            costs, support = risk[t + 1]
+            L = _levels(risk[t + 1], K).size
+            # zeta, eta, Delta, the level sums s, and z below the root
+            n += width * (costs.size - 2 * K + L + L * K)
+            n += width * ((L if len(support) else 0) + (t > root_stage))
     if n > MAX_ORACLE_VARIABLES:
         raise LpError(
             f"extensive form would need {n} variables "
             f"(limit {MAX_ORACLE_VARIABLES}); use the SDDP solver instead"
         )
+    return n
 
 
 def _add_node(model, lattice, risk, t, j, parent, root=False):
-    """Add node ``(t, j)`` and its subtree; return its priced columns and costs.
+    """Add node ``(t, j)`` and its subtree; return the columns and weights of its cost.
 
-    ``risk[t + 1]`` is the ``(costs over [zeta, eta, Delta], support rows)``
-    pair of the node's risk block. ``parent`` is either the parent node's
-    decision columns (an integer array) or a fixed previous state folded into
-    the rhs. The root's costs are its objective; every other node's costs
-    enter its parent's rows ``costs - eta_k - Delta_{k,j} <= 0``.
+    ``risk[t + 1]`` is the ``(costs, support rows)`` pair of the node's risk
+    block, both over ``[zeta, eta, s]``. ``parent`` is either the parent
+    node's decision columns (an integer array) or a fixed previous state
+    folded into the rhs. The root's cost is its objective; any other node's
+    cost enters its parent's rows ``cost - eta_k - Delta_{k,j} <= 0``, as
+    its column z or, at a leaf, as its priced decision columns.
     """
     r = lattice.stage(t)[j]
     n = r.num_vars
     leaf = t == lattice.horizon
-    costs = r.c if leaf else np.concatenate([r.c, risk[t + 1][0]])
+    if leaf:
+        costs = r.c
+    else:
+        K = lattice.size(t + 1)
+        block, support = risk[t + 1]
+        levels = _levels(risk[t + 1], K)
+        nz = block.size - 2 * K
+        # the columns [zeta, eta, Delta] of the used levels, Delta level-major
+        used = np.concatenate([np.arange(nz), nz + levels])
+        costs = np.concatenate([r.c, block[used], np.repeat(block[nz + K + levels], K)])
     obj = costs if root else np.zeros(costs.size)
     x = model.add_variables(n, obj=obj[:n], lb=0.0)
     if isinstance(parent, np.ndarray) and parent.dtype.kind == "i":
@@ -66,25 +97,38 @@ def _add_node(model, lattice, risk, t, j, parent, root=False):
             model.add_equality(x[keep], r.A[i][keep], rhs[i])
     cols = x
     if not leaf:
-        K = lattice.size(t + 1)
+        L = levels.size
         # zeta and eta are free, Delta is nonnegative
-        free = model.add_variables(costs.size - n - K * K, obj=obj[n : -K * K], lb=None)
-        delta = model.add_variables(K * K, obj=obj[-K * K :], lb=0.0)
+        free = model.add_variables(used.size, obj=obj[n : n + used.size], lb=None)
+        delta = model.add_variables(L * K, obj=obj[n + used.size :], lb=0.0)
         cols = np.concatenate([x, free, delta])
-        for row in risk[t + 1][1]:
-            keep = row != 0.0
-            model.add_inequality(cols[n:][keep], row[keep], 0.0)
-        eta = free[-K:]
+        if len(support):
+            s = model.add_variables(L, lb=None)
+            for i in range(L):
+                model.add_equality(
+                    np.append(delta[i * K : (i + 1) * K], s[i]), np.append(np.ones(K), -1.0), 0.0
+                )
+            rows = support[:, np.concatenate([used, nz + K + levels])]
+            for row in rows:
+                keep = row != 0.0
+                model.add_inequality(np.concatenate([free, s])[keep], row[keep], 0.0)
+    keep = costs != 0.0
+    cols, costs = cols[keep], costs[keep]
+    if not (root or leaf):
+        z = model.add_variable(lb=None)
+        model.add_equality(np.append(cols, z), np.append(costs, -1.0), 0.0)
+        cols, costs = np.array([z]), np.ones(1)
+    if not leaf:
+        eta = free[nz:]
         for j2 in range(K):
             child, child_costs = _add_node(model, lattice, risk, t + 1, j2, x)
-            for k in range(K):
+            for i in range(L):
                 model.add_inequality(
-                    np.concatenate([child, [eta[k], delta[k * K + j2]]]),
+                    np.concatenate([child, [eta[i], delta[i * K + j2]]]),
                     np.concatenate([child_costs, [-1.0, -1.0]]),
                     0.0,
                 )
-    keep = costs != 0.0
-    return cols[keep], costs[keep]
+    return cols, costs
 
 
 def _solve_tree(lattice, risk, t, j, parent) -> float:
@@ -93,7 +137,9 @@ def _solve_tree(lattice, risk, t, j, parent) -> float:
     _add_node(model, lattice, risk, t, j, parent, root=True)
     sol = model.solve()
     if not sol.is_optimal:
-        raise LpError(f"extensive form LP is {sol.status}")
+        c, A_eq, b_eq, A_ub, b_ub, bounds = model.arrays()
+        note = saved_note(ResolvableLp(c, A_eq, b_eq, A_ub=A_ub, b_ub=b_ub, bounds=bounds))
+        raise LpError(f"extensive form LP is {sol.status}{note}")
     return float(sol.objective)
 
 
@@ -104,13 +150,13 @@ def _subtree_values(lattice, risk, t, x_prev) -> list:
 
 
 def _marsrm_risk(lattice, prefs, weights) -> tuple[dict, dict]:
-    """Per stage, the combination's CVaR terms (eta and Delta costs, no zeta),
-    and the stage weights they come from."""
+    """Per stage, the combination's CVaR terms (eta and level-sum costs, no
+    zeta or support rows), and the stage weights they come from."""
     ws = resolve_stage_weights(lattice, prefs=prefs, weights=weights)
     risk = {}
     for t, w in ws.items():
         caps = 1.0 / (1.0 - w.alpha_levels)
-        costs = np.concatenate([w.combined, np.repeat(w.combined * caps / w.K, w.K)])
+        costs = np.concatenate([w.combined, w.combined * caps / w.K])
         risk[t] = (costs, np.empty((0, costs.size)))
     return risk, ws
 
@@ -153,8 +199,8 @@ def _dr_risk(lattice, ambs) -> tuple[dict, dict, dict]:
         w, K = betas[t], lattice.size(t)
         rows, obj = amb.dual_coefficients()
         caps = 1.0 / (1.0 - w.alpha_levels)
-        costs = np.concatenate([obj, np.zeros(K + K * K)])
-        support = np.hstack([-rows, w.beta, np.repeat(w.beta * caps / K, K, axis=1)])
+        costs = np.concatenate([obj, np.zeros(2 * K)])
+        support = np.hstack([-rows, w.beta, w.beta * caps / K])
         risk[t] = (costs, support)
     return risk, amb_map, betas
 

@@ -185,6 +185,13 @@ class ResolvableLp:
         return fh.name
 
 
+def saved_note(lp: ResolvableLp) -> str:
+    """Save a failed LP with ``lp.write()``; the clause naming its file for an
+    error message, or ``""`` when nothing could be written."""
+    path = lp.write()
+    return f" (the LP is saved in {path})" if path else ""
+
+
 class LpModel:
     """Incremental sparse LP builder.
 

@@ -28,7 +28,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .lp import LpError, RecourseError, ResolvableLp, block_matrix, solve_arrays
+from .lp import LpError, RecourseError, ResolvableLp, block_matrix, saved_note, solve_arrays
 from .risk import (
     ArsrmWeights,
     PreferenceDistribution,
@@ -298,8 +298,7 @@ class BoundIteration:
             self._live = {key: lp}
         sol = lp.solve(rhs)
         if not sol.is_optimal:
-            saved = lp.write()
-            note = f" (the LP is saved in {saved})" if saved else ""
+            note = saved_note(lp)
             if sol.status == "infeasible":
                 raise RecourseError(
                     f"stage {t}, scenario {j}: subproblem infeasible at the visited "
@@ -364,11 +363,13 @@ class BoundIteration:
             b_eq = np.concatenate(
                 [np.concatenate([reals[j].b - reals[j].E @ x_prev, b_tail]) for j in js]
             )
-            sol = solve_arrays(c, A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub, bounds=bounds * G)
+            arrays = dict(A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub, bounds=bounds * G)
+            sol = solve_arrays(c, **arrays)
             if not sol.is_optimal:
                 if G == 1:
+                    note = saved_note(ResolvableLp(c, **arrays))
                     raise RecourseError(
-                        f"stage {t}, scenario {js[0]}: upper envelope LP is {sol.status}"
+                        f"stage {t}, scenario {js[0]}: upper envelope LP is {sol.status}{note}"
                     )
                 # one scenario at a time, so the error names the first that fails
                 return [v for j in js for v in solve([j])]

@@ -1,4 +1,4 @@
-"""Stage LPs written out row by row, as references for the engines.
+"""LPs written out row by row, as references for the engines and oracles.
 
 The engines lay their stage LPs out as blocks on one live model, and their
 envelope LPs as blocks of one block-diagonal LP per state; these builders
@@ -6,11 +6,17 @@ write the same LPs literally, one row per balance equation, cut, support
 point and envelope row, as ``LpModel``s the tests solve and compare. Like the
 extensive-form oracles, they share none of the engines' layout code. A
 MARSRM reference with cuts has its epigraph column last.
+
+The extensive-form references write the oracles' tree LPs densely: every
+node's priced columns appear in each of its parent's link rows, and every
+support row reads all of a node's shortfall columns.
 """
 
 import numpy as np
 
+from msrisk.dr import resolve_ambiguities
 from msrisk.lp import LpModel
+from msrisk.sddp import resolve_stage_weights
 
 
 def _stage_model(realization, x_prev):
@@ -133,3 +139,82 @@ def envelope_subproblem(realization, x_prev, states, values, penalty, robust=Non
                 0.0,
             )
     return model
+
+
+def marsrm_tree_risk(lattice, prefs=None, weights=None):
+    """Per stage, the MARSRM risk block: costs over ``[eta, Delta]``, no support rows."""
+    risk = {}
+    for t, w in resolve_stage_weights(lattice, prefs=prefs, weights=weights).items():
+        caps = 1.0 / (1.0 - w.alpha_levels)
+        costs = np.concatenate([w.combined, np.repeat(w.combined * caps / w.K, w.K)])
+        risk[t] = (costs, np.empty((0, costs.size)))
+    return risk
+
+
+def dr_tree_risk(lattice, ambs):
+    """Per stage, the robust risk block over ``[zeta, eta, Delta]``: the
+    moment-dual costs and one support row per support point."""
+    amb_map, betas = resolve_ambiguities(lattice, ambs)
+    risk = {}
+    for t, amb in amb_map.items():
+        w, K = betas[t], lattice.size(t)
+        rows, obj = amb.dual_coefficients()
+        caps = 1.0 / (1.0 - w.alpha_levels)
+        costs = np.concatenate([obj, np.zeros(K + K * K)])
+        support = np.hstack([-rows, w.beta, np.repeat(w.beta * caps / K, K, axis=1)])
+        risk[t] = (costs, support)
+    return risk
+
+
+def tree_model(lattice, risk, t, j, x_prev):
+    """Extensive-form LP of the subtree of node ``(t, j)`` at ``x_prev``.
+
+    ``risk`` comes from :func:`marsrm_tree_risk` or :func:`dr_tree_risk`; the
+    root's costs are the objective, every other node's costs enter each of
+    its parent's rows ``costs - eta_k - Delta_{k,j} <= 0``.
+    """
+    model = LpModel()
+    _tree_node(model, lattice, risk, t, j, np.asarray(x_prev, dtype=float), root=True)
+    return model
+
+
+def _tree_node(model, lattice, risk, t, j, parent, root=False):
+    """Add node ``(t, j)`` and its subtree; return its priced columns and costs."""
+    r = lattice.stage(t)[j]
+    n = r.num_vars
+    leaf = t == lattice.horizon
+    costs = r.c if leaf else np.concatenate([r.c, risk[t + 1][0]])
+    obj = costs if root else np.zeros(costs.size)
+    x = model.add_variables(n, obj=obj[:n], lb=0.0)
+    if parent.dtype.kind == "i":
+        for i in range(r.A.shape[0]):
+            cols = np.concatenate([x, parent])
+            coefs = np.concatenate([r.A[i], r.E[i]])
+            keep = coefs != 0.0
+            model.add_equality(cols[keep], coefs[keep], r.b[i])
+    else:
+        rhs = r.b - r.E @ parent
+        for i in range(r.A.shape[0]):
+            keep = r.A[i] != 0.0
+            model.add_equality(x[keep], r.A[i][keep], rhs[i])
+    cols = x
+    if not leaf:
+        K = lattice.size(t + 1)
+        # zeta and eta are free, Delta is nonnegative
+        free = model.add_variables(costs.size - n - K * K, obj=obj[n : -K * K], lb=None)
+        delta = model.add_variables(K * K, obj=obj[-K * K :], lb=0.0)
+        cols = np.concatenate([x, free, delta])
+        for row in risk[t + 1][1]:
+            keep = row != 0.0
+            model.add_inequality(cols[n:][keep], row[keep], 0.0)
+        eta = free[-K:]
+        for j2 in range(K):
+            child, child_costs = _tree_node(model, lattice, risk, t + 1, j2, x)
+            for k in range(K):
+                model.add_inequality(
+                    np.concatenate([child, [eta[k], delta[k * K + j2]]]),
+                    np.concatenate([child_costs, [-1.0, -1.0]]),
+                    0.0,
+                )
+    keep = costs != 0.0
+    return cols[keep], costs[keep]

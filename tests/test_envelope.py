@@ -5,17 +5,20 @@ at one state as one block-diagonal LP when the envelope block adds no rows
 (MARSRM) and one by one when it does (DR, whatever the next stage's
 scenario count). These tests check its values against the literal
 per-scenario LPs of ``references.envelope_subproblem``, that a failed block
-names the first failing scenario, and that every archived value stays above
-the cut model at its state.
+names the first failing scenario and saves its LP, and that every archived
+value stays above the cut model at its state.
 """
+
+import tempfile
 
 import numpy as np
 import pytest
 
+import msrisk.lp
 import msrisk.sddp
 from msrisk.lp import RecourseError, solve_arrays
 from references import envelope_subproblem
-from test_live_lp import costed_lattice, engine, lattice, priced_lattice
+from test_live_lp import costed_lattice, engine, lattice, priced_lattice, read_saved
 
 
 def narrowing_lattice():
@@ -90,14 +93,42 @@ def infeasible_from_scenario(lat, t=2):
 
 @pytest.mark.parametrize("kind", ["marsrm", "dr"])
 def test_failed_envelope_names_the_first_failing_scenario(kind):
+    # the failing scenario's LP is saved and reads back infeasible
+    if msrisk.lp._HIGHS is None:
+        pytest.skip("scipy ships no HiGHS bindings to write or read the model")
     lat = lattice()
     eng = engine(kind, lat)
     eng.run()
     x_prev, first = infeasible_from_scenario(lat)
     assert first > 0
+    archive, penalty = eng._archive_arrays(2), eng._penalty(2)
+    message = (
+        rf"^stage 2, scenario {first}: upper envelope LP is infeasible"
+        r" \(the LP is saved in \S+\.mps\)$"
+    )
+    with pytest.raises(RecourseError, match=message) as err:
+        eng._envelope_values(2, x_prev, archive, penalty)
+    h = read_saved(str(err.value))
+    robust = (eng.ambs[3], eng.weights[3]) if kind == "dr" else None
+    ref = envelope_subproblem(lat.stage(2)[first], x_prev, *archive, penalty, robust=robust)
+    assert h.getLp().num_col_ == ref.num_variables
+    assert h.getLp().num_row_ == sum(ref.num_rows)
+    h.run()
+    assert h.getModelStatus().name == "kInfeasible"
+
+
+@pytest.mark.parametrize("kind", ["marsrm", "dr"])
+def test_failed_envelope_without_highs_writes_nothing(kind, monkeypatch, tmp_path):
+    lat = lattice()
+    eng = engine(kind, lat)
+    eng.run()
+    x_prev, first = infeasible_from_scenario(lat)
+    monkeypatch.setattr(msrisk.lp, "_HIGHS", None)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     message = rf"^stage 2, scenario {first}: upper envelope LP is infeasible$"
     with pytest.raises(RecourseError, match=message):
         eng._envelope_values(2, x_prev, eng._archive_arrays(2), eng._penalty(2))
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("kind", ["marsrm", "dr"])

@@ -3,15 +3,25 @@
 The two-asset two-stage instances admit an exact independent solution: the
 objective is piecewise linear in the single allocation weight, with kinks
 only where two scenario wealth lines cross, so minimizing over the crossing
-points and endpoints is exact.
+points and endpoints is exact. On larger trees the oracles' sparse LPs are
+checked against the dense tree LPs of ``references.tree_model``.
 """
+
+import tempfile
 
 import numpy as np
 import pytest
 
 import msrisk.extensive
+import msrisk.lp
+from msrisk.benchmark import AssetInstanceConfig, build_asset_instance
 from msrisk.dr import MomentAmbiguitySet, worst_case_arsrm
 from msrisk.extensive import (
+    _add_node,
+    _check_size,
+    _dr_risk,
+    _levels,
+    _marsrm_risk,
     cost_to_go_oracle,
     dr_cost_to_go_oracle,
     dr_subtree_value,
@@ -19,7 +29,7 @@ from msrisk.extensive import (
     extensive_form_marsrm,
     subtree_value,
 )
-from msrisk.lp import LpError
+from msrisk.lp import LpError, LpModel, solve_arrays
 from msrisk.risk import DiscreteDistribution, PreferenceDistribution, arsrm_weights, cvar
 from msrisk.scenario import (
     RngStream,
@@ -27,6 +37,8 @@ from msrisk.scenario import (
     build_lognormal_lattice,
     preset_preference,
 )
+from references import dr_tree_risk, marsrm_tree_risk, tree_model
+from test_live_lp import read_saved
 
 
 def two_stage_lattice(seed=0, assets=2, K=4, f=0.0):
@@ -228,3 +240,112 @@ def test_cost_to_go_oracles_resolve_the_stages_once(monkeypatch):
     want = worst_case_arsrm(dr, None, amb, amb.stage_weights(3))
     assert dr_cost_to_go_oracle(lat, 2, x1, amb) == want
     assert len(ambiguities) == 1
+
+
+# -- the sparse tree LPs against the dense reference ---------------------------
+
+VORONOI = {"kind": "voronoi", "centers": 4, "samples": 200}
+INSTANCES = {
+    "t3-voronoi": dict(horizon=3, scenarios_per_stage=4, preference=VORONOI, seed=3),
+    "t4-voronoi": dict(horizon=4, scenarios_per_stage=[4, 3, 2], preference=VORONOI, seed=8),
+    # one CVaR level on the exact spectrum: MARSRM weighs two of four levels
+    "t4-dirac": dict(
+        horizon=4,
+        scenarios_per_stage=4,
+        preference={"kind": "dirac", "lambda": 0.2, "alpha": 0.5},
+        spectrum_breakpoints=None,
+        transaction_cost=0.0,
+        seed=5,
+    ),
+}
+
+
+def oracle_instance(name):
+    """A small asset instance with sampled ambiguity sets."""
+    config = dict(assets=3, ambiguity={"kind": "sampled", "size": 5}, spectrum_breakpoints=6)
+    return build_asset_instance(AssetInstanceConfig(**{**config, **INSTANCES[name]}))
+
+
+def stage_states(lat):
+    """A feasible stage-1 decision and a stage-2 decision of scenario 0 after it."""
+    states, x_prev = [], lat.x0
+    for t in (1, 2):
+        r = lat.stage(t)[0]
+        x_prev = solve_arrays(np.zeros(r.num_vars), A_eq=r.A, b_eq=r.b - r.E @ x_prev).x
+        states.append(x_prev)
+    return states
+
+
+def nonzeros(model):
+    _, A_eq, _, A_ub, _, _ = model.arrays()
+    return sum(A.nnz for A in (A_eq, A_ub) if A is not None)
+
+
+def sparse_model(lat, risk, t, x_prev):
+    model = LpModel()
+    _add_node(model, lat, risk, t, 0, x_prev, root=True)
+    return model
+
+
+@pytest.mark.parametrize("name", INSTANCES)
+def test_sparse_tree_lps_match_the_dense_reference(name):
+    inst = oracle_instance(name)
+    lat, prefs, ambs = inst.lattice, inst.preferences, inst.ambiguities
+    x1, x2 = stage_states(lat)
+    marsrm, dr = marsrm_tree_risk(lat, prefs=prefs), dr_tree_risk(lat, ambs)
+    cases = [
+        (extensive_form_marsrm(lat, prefs=prefs), marsrm, 1, 0, lat.x0),
+        (extensive_form_dr(lat, ambs), dr, 1, 0, lat.x0),
+    ]
+    for t, x_prev in ((2, x1), (3, x2)):
+        for j in range(lat.size(t)):
+            cases.append((subtree_value(lat, t, j, x_prev, prefs=prefs), marsrm, t, j, x_prev))
+            cases.append((dr_subtree_value(lat, t, j, x_prev, ambs), dr, t, j, x_prev))
+    for value, risk, t, j, x_prev in cases:
+        sol = tree_model(lat, risk, t, j, x_prev).solve()
+        assert sol.is_optimal
+        assert abs(value - sol.objective) <= 1e-9 * max(1.0, abs(sol.objective)), (t, j)
+    # the whole trees, whose internal nodes below the root have z columns,
+    # with fewer nonzeros
+    for risk, dense in ((_marsrm_risk(lat, prefs, None)[0], marsrm), (_dr_risk(lat, ambs)[0], dr)):
+        sparse = nonzeros(sparse_model(lat, risk, 1, lat.x0))
+        assert sparse < nonzeros(tree_model(lat, dense, 1, 0, lat.x0))
+
+
+def test_check_size_counts_the_built_columns():
+    skipped = 0
+    for name in INSTANCES:
+        inst = oracle_instance(name)
+        lat = inst.lattice
+        x1, _ = stage_states(lat)
+        marsrm = _marsrm_risk(lat, inst.preferences, None)[0]
+        for risk in (marsrm, _dr_risk(lat, inst.ambiguities)[0]):
+            for t, x_prev in ((1, lat.x0), (2, x1)):
+                assert _check_size(lat, t, risk) == sparse_model(lat, risk, t, x_prev).num_variables
+        skipped += sum(_levels(marsrm[t], lat.size(t)).size < lat.size(t) for t in marsrm)
+    # some MARSRM level carries no weight, so its columns are skipped and counted so
+    assert skipped > 0
+
+
+def test_infeasible_tree_lp_is_saved():
+    if msrisk.lp._HIGHS is None:
+        pytest.skip("scipy ships no HiGHS bindings to write or read the model")
+    lat = build_lognormal_lattice(3, 2, 0.6, 0.3, 0.5, 3, RngStream(12), transaction_cost=0.0)
+    amb = MomentAmbiguitySet.from_empirical([(0.2, 0.5), (0.8, 0.3)], [0.5, 0.5])
+    # a negative holding makes the budget row's right-hand side negative
+    message = r"^extensive form LP is infeasible \(the LP is saved in \S+\.mps\)$"
+    with pytest.raises(LpError, match=message) as err:
+        dr_subtree_value(lat, 2, 0, -np.ones(2), amb)
+    h = read_saved(str(err.value))
+    assert h.getLp().num_col_ == _check_size(lat, 2, _dr_risk(lat, amb)[0])
+    h.run()
+    assert h.getModelStatus().name == "kInfeasible"
+
+
+def test_infeasible_tree_lp_without_highs_writes_nothing(monkeypatch, tmp_path):
+    lat = two_stage_lattice(seed=2, K=3)
+    monkeypatch.setattr(msrisk.lp, "_HIGHS", None)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    with pytest.raises(LpError, match=r"^extensive form LP is infeasible$"):
+        subtree_value(lat, 2, 0, -np.ones(2), prefs=preset_preference("risk_neutral"))
+    assert not any(tmp_path.iterdir())

@@ -227,15 +227,22 @@ def test_infeasible_stage_is_saved_and_reads_back():
     # a negative holding makes the budget row's right-hand side negative
     with pytest.raises(RecourseError, match=r"saved in .*\.mps") as err:
         eng._solve_stage(2, 0, -np.ones(lat.num_vars(1)))
-    path = re.search(r"saved in (\S+\.mps)", str(err.value)).group(1)
+    h = read_saved(str(err.value))
+    lp = h.getLp()
+    assert lp.num_col_ == lat.num_vars(2) + 1  # the stage columns and theta
+    assert lp.num_row_ == eng.pools[3].count + 1 + lat.stage(2)[0].A.shape[0]
+    h.run()
+    assert h.getModelStatus().name == "kInfeasible"
+
+
+def read_saved(message):
+    """HiGHS holding the model saved in the file an error message names; the
+    file is removed."""
+    path = re.search(r"saved in (\S+\.mps)", message).group(1)
     try:
         h = msrisk.lp._HIGHS()
         h.setOptionValue("output_flag", False)
         assert h.readModel(path).name == "kOk"
-        lp = h.getLp()
-        assert lp.num_col_ == lat.num_vars(2) + 1  # the stage columns and theta
-        assert lp.num_row_ == eng.pools[3].count + 1 + lat.stage(2)[0].A.shape[0]
-        h.run()
-        assert h.getModelStatus().name == "kInfeasible"
+        return h
     finally:
         os.remove(path)
