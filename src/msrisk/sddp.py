@@ -17,7 +17,9 @@ finitely many iterations when the forward pass enumerates all scenarios.
 
 Scenario subproblems inside one backward step are independent pure solves and
 cut appends happen per stage in fixed scenario order, so results never depend
-on execution schedule; a fixed seed reproduces runs bit-identically.
+on execution schedule; a fixed seed reproduces runs bit-identically. The only
+LPs solved in parallel are a state's independent DR envelope LPs, each a cold
+solve of its own, whose values are collected in scenario order.
 """
 
 from __future__ import annotations
@@ -28,7 +30,15 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .lp import LpError, RecourseError, ResolvableLp, block_matrix, saved_note, solve_arrays
+from .lp import (
+    LpError,
+    RecourseError,
+    ResolvableLp,
+    block_matrix,
+    fan_out,
+    saved_note,
+    solve_arrays,
+)
 from .risk import (
     ArsrmWeights,
     PreferenceDistribution,
@@ -227,6 +237,10 @@ class TrainReport:
         return text
 
 
+class _EnvelopeFailure(Exception):
+    """A scenario envelope LP without an optimum; ``args`` are (scenario, status)."""
+
+
 def state_key(x) -> bytes:
     """Hashable key of a state; -0.0 and 0.0 give the same key."""
     return (np.asarray(x, dtype=float) + 0.0).tobytes()
@@ -257,8 +271,10 @@ class BoundIteration:
     Each engine binds the three passes in its own class body, so one
     engine's passes can be wrapped (to profile them, say) apart from the other's.
     The upper sweep makes one envelope call per visited state: MARSRM's K
-    scenario LPs go to the solver as one block-diagonal LP, DR's (whose
-    envelope block has rows) one by one.
+    scenario LPs go to the solver as one block-diagonal LP on the calling
+    thread, DR's (whose envelope block has rows) as K LPs solved side by side
+    on the usable CPUs. Stage LPs share the engine's one live model and are
+    solved one at a time.
     """
 
     def __init__(self, lattice: ScenarioLattice, options=None):
@@ -326,7 +342,11 @@ class BoundIteration:
         objective), the K scenario LPs share no row and are solved as one
         block-diagonal LP, and scenario j's value is ``c_j . x_j`` over its
         block. Otherwise (DR: rows bound the robust columns) each scenario's
-        LP is solved on its own.
+        LP is solved on its own, and ``fan_out`` spreads the K LPs over the
+        usable CPUs. Each is a cold ``solve_arrays`` call, so the values do
+        not depend on the thread that solved them. A failure raises the
+        ``RecourseError`` of the first failing scenario, whose LP alone is
+        saved.
         """
         reals = self.lattice.stage(t)
         K, n, m = len(reals), self.lattice.num_vars(t), reals[0].A.shape[0]
@@ -349,7 +369,7 @@ class BoundIteration:
         b_tail = np.concatenate([np.zeros(E * n), np.ones(E)])
         bounds = [(0, None)] * n + bounds
 
-        def solve(js):
+        def lp(js):
             G = len(js)
             A_eq = block_matrix(
                 (G * height, G * width),
@@ -363,22 +383,33 @@ class BoundIteration:
             b_eq = np.concatenate(
                 [np.concatenate([reals[j].b - reals[j].E @ x_prev, b_tail]) for j in js]
             )
-            arrays = dict(A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub, bounds=bounds * G)
-            sol = solve_arrays(c, **arrays)
+            return c, dict(A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub, bounds=bounds * G)
+
+        def solve(js):
+            c, arrays = lp(js)
+            sol, G = solve_arrays(c, **arrays), len(js)
             if not sol.is_optimal:
-                if G == 1:
-                    note = saved_note(ResolvableLp(c, **arrays))
-                    raise RecourseError(
-                        f"stage {t}, scenario {js[0]}: upper envelope LP is {sol.status}{note}"
-                    )
-                # one scenario at a time, so the error names the first that fails
-                return [v for j in js for v in solve([j])]
+                if G > 1:
+                    return None  # the block failed: its scenarios are solved one by one
+                raise _EnvelopeFailure(js[0], sol.status)
             if G == 1:
                 return [float(sol.objective)]
             return [float(cj @ xj) for cj, xj in zip(np.split(c, G), np.split(sol.x, G))]
 
-        group = K if A_ub is None else 1
-        return np.array([v for j in range(0, K, group) for v in solve(range(j, j + group))])
+        singles = [[j] for j in range(K)]
+        try:
+            groups = fan_out(solve, [range(K)] if A_ub is None else singles)
+            if groups == [None]:
+                groups = fan_out(solve, singles)
+        except _EnvelopeFailure as failure:
+            # only the first failing scenario's LP is saved, as a loop would save it
+            j, status = failure.args
+            c, arrays = lp([j])
+            note = saved_note(ResolvableLp(c, **arrays))
+            raise RecourseError(
+                f"stage {t}, scenario {j}: upper envelope LP is {status}{note}"
+            ) from None
+        return np.array([v for group in groups for v in group])
 
     # -- penalty selection -----------------------------------------------------
     def _coupled_columns(self, t: int) -> np.ndarray:

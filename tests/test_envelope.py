@@ -2,11 +2,12 @@
 
 ``BoundIteration._envelope_values`` solves a stage's K scenario envelope LPs
 at one state as one block-diagonal LP when the envelope block adds no rows
-(MARSRM) and one by one when it does (DR, whatever the next stage's
-scenario count). These tests check its values against the literal
-per-scenario LPs of ``references.envelope_subproblem``, that a failed block
-names the first failing scenario and saves its LP, and that every archived
-value stays above the cut model at its state.
+(MARSRM) and as K LPs side by side on the usable CPUs when it does (DR,
+whatever the next stage's scenario count). These tests check its values
+against the literal per-scenario LPs of ``references.envelope_subproblem``,
+that a failed block names the first failing scenario and saves its LP alone,
+that DR's bound columns do not depend on the CPU count, and that every
+archived value stays above the cut model at its state.
 """
 
 import tempfile
@@ -18,7 +19,15 @@ import msrisk.lp
 import msrisk.sddp
 from msrisk.lp import RecourseError, solve_arrays
 from references import envelope_subproblem
-from test_live_lp import costed_lattice, engine, lattice, priced_lattice, read_saved
+from test_lp import counted_threads
+from test_live_lp import (
+    bound_columns,
+    costed_lattice,
+    engine,
+    lattice,
+    priced_lattice,
+    read_saved,
+)
 
 
 def narrowing_lattice():
@@ -72,8 +81,9 @@ def test_envelope_values_match_per_scenario_lps(kind, make_lattice, monkeypatch)
     assert checked > lat.horizon
 
 
-def infeasible_from_scenario(lat, t=2):
-    """A stage-(t-1) state where some stage-t balance rows, not scenario 0's, are infeasible.
+def infeasible_from_scenario(lat, t=2, count=1):
+    """A stage-(t-1) state where ``count`` or more stage-t balance rows, not
+    scenario 0's, are infeasible; the state and the first infeasible scenario.
 
     A short position in the second asset makes the budget row's right-hand
     side ``returns . x_prev`` negative in the scenarios where that asset
@@ -86,9 +96,9 @@ def infeasible_from_scenario(lat, t=2):
             solve_arrays(np.zeros(r.num_vars), A_eq=r.A, b_eq=r.b - r.E @ x_prev).status
             for r in reals
         ]
-        if status[0] == "optimal" and "infeasible" in status:
+        if status[0] == "optimal" and status.count("infeasible") >= count:
             return x_prev, status.index("infeasible")
-    raise AssertionError("no state found with scenario 0 feasible and another infeasible")
+    raise AssertionError(f"no state found with scenario 0 feasible and {count} infeasible")
 
 
 @pytest.mark.parametrize("kind", ["marsrm", "dr"])
@@ -129,6 +139,47 @@ def test_failed_envelope_without_highs_writes_nothing(kind, monkeypatch, tmp_pat
     with pytest.raises(RecourseError, match=message):
         eng._envelope_values(2, x_prev, eng._archive_arrays(2), eng._penalty(2))
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("kind", ["marsrm", "dr"])
+def test_several_failed_envelopes_save_only_the_first(kind, monkeypatch, tmp_path):
+    # scenarios 1 and 2 fail side by side; a loop would have stopped at 1
+    if msrisk.lp._HIGHS is None:
+        pytest.skip("scipy ships no HiGHS bindings to write or read the model")
+    lat = lattice()
+    eng = engine(kind, lat)
+    eng.run()
+    x_prev, first = infeasible_from_scenario(lat, count=2)
+    archive, penalty = eng._archive_arrays(2), eng._penalty(2)
+    monkeypatch.setattr(msrisk.lp, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    message = rf"^stage 2, scenario {first}: upper envelope LP is infeasible \(the LP is saved"
+    with pytest.raises(RecourseError, match=message) as err:
+        eng._envelope_values(2, x_prev, archive, penalty)
+    assert len(list(tmp_path.glob("msrisk-lp-*.mps"))) == 1
+    h = read_saved(str(err.value))
+    robust = (eng.ambs[3], eng.weights[3]) if kind == "dr" else None
+    ref = envelope_subproblem(lat.stage(2)[first], x_prev, *archive, penalty, robust=robust)
+    assert h.getLp().num_col_ == ref.num_variables
+    assert not any(tmp_path.iterdir())
+
+
+def hex_columns(report):
+    return [[float(v).hex() for v in col] for col in bound_columns(report)]
+
+
+@pytest.mark.parametrize("make_lattice", [lattice, narrowing_lattice])
+def test_dr_bound_columns_do_not_depend_on_the_cpu_count(make_lattice, monkeypatch):
+    lat = make_lattice()
+    started = counted_threads(monkeypatch)
+    columns = {}
+    for cpus in (1, 4):
+        started.clear()
+        monkeypatch.setattr(msrisk.lp, "usable_cpus", lambda: cpus)
+        columns[cpus] = hex_columns(engine("dr", lat, seed=5).run())
+        # one CPU: every LP on the calling thread; four: up to three helpers per state
+        assert bool(started) == (cpus > 1)
+    assert columns[1] == columns[4]
 
 
 @pytest.mark.parametrize("kind", ["marsrm", "dr"])

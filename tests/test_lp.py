@@ -1,8 +1,13 @@
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
 import msrisk.lp
-from msrisk.lp import LpModel, ResolvableLp, block_matrix, solve_arrays
+from msrisk.lp import LpModel, ResolvableLp, block_matrix, fan_out, solve_arrays, usable_cpus
 
 
 def test_equality_dual_sensitivity_convention():
@@ -146,3 +151,81 @@ def test_block_matrix_dense_when_small_sparse_when_large(monkeypatch):
     c, b = -rng.random(8), small @ np.full(8, 0.5)
     dense, sparse = (solve_arrays(c, A_ub=A, b_ub=b, bounds=(0, 1)) for A in (small, large))
     assert dense.objective < 0.0 and dense.objective == sparse.objective
+
+
+def test_usable_cpus_reads_the_affinity_set_or_falls_back_to_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+    assert usable_cpus() == 2
+    # macOS and Windows have no affinity call
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+    assert usable_cpus() == 1
+
+
+def counted_threads(monkeypatch):
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda th: (started.append(th), start(th)))
+    return started
+
+
+@pytest.mark.parametrize("cpus, items, threads", [(1, 5, 0), (4, 1, 0), (2, 5, 1), (4, 3, 2)])
+def test_fan_out_keeps_item_order_with_the_caller_taking_a_share(monkeypatch, cpus, items, threads):
+    started = counted_threads(monkeypatch)
+    monkeypatch.setattr(msrisk.lp, "usable_cpus", lambda: cpus)
+    callers = set()
+
+    def square(i):
+        callers.add(threading.get_ident())
+        time.sleep(0.01 * (items - i))  # later items finish first
+        return i * i
+
+    assert fan_out(square, range(items)) == [i * i for i in range(items)]
+    assert len(started) == threads
+    assert threading.get_ident() in callers
+
+
+def test_fan_out_runs_items_side_by_side(monkeypatch):
+    # each of the first two items waits for the other, so they must overlap
+    monkeypatch.setattr(msrisk.lp, "usable_cpus", lambda: 2)
+    both = threading.Barrier(2, timeout=30)
+    assert fan_out(lambda i: both.wait() if i < 2 else i, range(3))[2] == 2
+
+
+def test_fan_out_raises_the_first_items_exception(monkeypatch):
+    monkeypatch.setattr(msrisk.lp, "usable_cpus", lambda: 3)
+    done = []
+
+    def fail_late(i):
+        if i in (1, 2):
+            time.sleep(0.05 if i == 1 else 0.0)  # item 2 raises first
+            raise ValueError(f"item {i}")
+        done.append(i)
+        return i
+
+    with pytest.raises(ValueError, match="^item 1$"):
+        fan_out(fail_late, range(5))
+    assert sorted(done) == [0, 3, 4]  # the threads were joined
+
+
+def test_fan_out_hands_out_each_item_once_under_contention(monkeypatch):
+    # more threads than cores and a short switch interval: a lost or doubled
+    # item would show in the calls or the results
+    monkeypatch.setattr(msrisk.lp, "usable_cpus", lambda: 8)
+    calls = []
+
+    def record(i):
+        calls.append(i)
+        return -i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            calls.clear()
+            assert fan_out(record, range(500)) == [-i for i in range(500)]
+            assert sorted(calls) == list(range(500))
+    finally:
+        sys.setswitchinterval(interval)
