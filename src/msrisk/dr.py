@@ -10,9 +10,9 @@ stage. ``DrSddp`` plugs that block into the shared bound iteration of
 scenario-wise) and scenario-wise upper envelopes. Per-scenario solves within
 a backward step are independent; appends happen in fixed scenario order, so
 runs are schedule-independent and seed-reproducible. The K envelope LPs at one
-state share no row, so the upper sweep solves them side by side on the usable
-CPUs (see ``BoundIteration._envelope_values``) and reads their values back in
-scenario order.
+state share no row, so the upper sweep solves them side by side on up to two
+usable CPUs (see ``BoundIteration._envelope_values``) and reads their values
+back in scenario order.
 """
 
 from __future__ import annotations

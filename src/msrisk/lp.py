@@ -6,8 +6,8 @@
 
 ``LpModel.solve`` and ``solve_arrays`` return primal values, the objective,
 and duals for both row families; ``block_matrix`` assembles the matrices of
-array LPs from blocks, and ``fan_out`` spreads independent solves over the
-usable CPUs. Duals follow the sensitivity convention for a minimization
+array LPs from blocks, and ``fan_out`` spreads independent solves over up to
+two usable CPUs. Duals follow the sensitivity convention for a minimization
 problem: the dual of a row is d(objective)/d(rhs). The backend
 is HiGHS: through scipy.optimize.linprog, or, for ``ResolvableLp``, one model
 kept alive in scipy's private HiGHS class and re-solved warm (feature-detected,
@@ -119,20 +119,25 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+# the most CPUs one fan-out uses, counting the calling thread: the layout
+# measured (2 CPUs, one helper thread). Each more thread costs a HiGHS task
+# deque and a malloc arena (2-3 MB), and its speed-up is unmeasured.
+FAN_OUT_CPUS = 2
+
+
 def fan_out(fn, items) -> list:
-    """``[fn(item) for item in items]``, computed on the usable CPUs.
+    """``[fn(item) for item in items]``, computed on up to ``FAN_OUT_CPUS``
+    usable CPUs.
 
     The calling thread takes items too, so a call starts ``min(usable CPUs,
-    len(items)) - 1`` threads and joins them before it returns; with one CPU
-    or one item it is the plain loop. ``fn`` must be safe to run in threads;
-    ``solve_arrays`` is, since each call has its own HiGHS instance and HiGHS
-    releases the GIL while it solves. If calls raise, the exception of the
-    first such item is raised, as the loop would raise it.
+    FAN_OUT_CPUS, len(items)) - 1`` threads and joins them before it returns;
+    with one CPU or one item no thread is started. ``fn`` must be safe to run
+    in threads; ``solve_arrays`` is, since each call has its own HiGHS
+    instance and HiGHS releases the GIL while it solves. Every item is
+    computed; if calls raise, the exception of the first such item is raised,
+    as the loop would raise it.
     """
     items = list(items)
-    extra = min(usable_cpus(), len(items)) - 1
-    if extra < 1:
-        return [fn(item) for item in items]
     results, errors, order = [None] * len(items), {}, itertools.count()
 
     def work():
@@ -142,6 +147,7 @@ def fan_out(fn, items) -> list:
             except Exception as exc:  # raised by the calling thread, in item order
                 errors[i] = exc
 
+    extra = min(usable_cpus(), FAN_OUT_CPUS, len(items)) - 1
     threads = [threading.Thread(target=work) for _ in range(extra)]
     for th in threads:
         th.start()

@@ -237,10 +237,6 @@ class TrainReport:
         return text
 
 
-class _EnvelopeFailure(Exception):
-    """A scenario envelope LP without an optimum; ``args`` are (scenario, status)."""
-
-
 def state_key(x) -> bytes:
     """Hashable key of a state; -0.0 and 0.0 give the same key."""
     return (np.asarray(x, dtype=float) + 0.0).tobytes()
@@ -273,8 +269,8 @@ class BoundIteration:
     The upper sweep makes one envelope call per visited state: MARSRM's K
     scenario LPs go to the solver as one block-diagonal LP on the calling
     thread, DR's (whose envelope block has rows) as K LPs solved side by side
-    on the usable CPUs. Stage LPs share the engine's one live model and are
-    solved one at a time.
+    on up to two usable CPUs. Stage LPs share the engine's one live model and
+    are solved one at a time.
     """
 
     def __init__(self, lattice: ScenarioLattice, options=None):
@@ -342,8 +338,8 @@ class BoundIteration:
         objective), the K scenario LPs share no row and are solved as one
         block-diagonal LP, and scenario j's value is ``c_j . x_j`` over its
         block. Otherwise (DR: rows bound the robust columns) each scenario's
-        LP is solved on its own, and ``fan_out`` spreads the K LPs over the
-        usable CPUs. Each is a cold ``solve_arrays`` call, so the values do
+        LP is solved on its own, and ``fan_out`` spreads the K LPs over up to
+        two usable CPUs. Each is a cold ``solve_arrays`` call, so the values do
         not depend on the thread that solved them. A failure raises the
         ``RecourseError`` of the first failing scenario, whose LP alone is
         saved.
@@ -369,7 +365,7 @@ class BoundIteration:
         b_tail = np.concatenate([np.zeros(E * n), np.ones(E)])
         bounds = [(0, None)] * n + bounds
 
-        def lp(js):
+        def solve(js):
             G = len(js)
             A_eq = block_matrix(
                 (G * height, G * width),
@@ -383,33 +379,28 @@ class BoundIteration:
             b_eq = np.concatenate(
                 [np.concatenate([reals[j].b - reals[j].E @ x_prev, b_tail]) for j in js]
             )
-            return c, dict(A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub, bounds=bounds * G)
+            arrays = dict(A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub, bounds=bounds * G)
+            return c, solve_arrays(c, **arrays), arrays
 
-        def solve(js):
-            c, arrays = lp(js)
-            sol, G = solve_arrays(c, **arrays), len(js)
+        groups = [range(K)] if A_ub is None else [[j] for j in range(K)]
+        solved = fan_out(solve, groups)
+        if len(groups) < K and not solved[0][1].is_optimal:
+            # the block failed: one LP per scenario, so the error names the first that fails
+            groups = [[j] for j in range(K)]
+            solved = fan_out(solve, groups)
+        values = []
+        for js, (c, sol, arrays) in zip(groups, solved):
             if not sol.is_optimal:
-                if G > 1:
-                    return None  # the block failed: its scenarios are solved one by one
-                raise _EnvelopeFailure(js[0], sol.status)
+                note = saved_note(ResolvableLp(c, **arrays))
+                raise RecourseError(
+                    f"stage {t}, scenario {js[0]}: upper envelope LP is {sol.status}{note}"
+                )
+            G = len(js)
             if G == 1:
-                return [float(sol.objective)]
-            return [float(cj @ xj) for cj, xj in zip(np.split(c, G), np.split(sol.x, G))]
-
-        singles = [[j] for j in range(K)]
-        try:
-            groups = fan_out(solve, [range(K)] if A_ub is None else singles)
-            if groups == [None]:
-                groups = fan_out(solve, singles)
-        except _EnvelopeFailure as failure:
-            # only the first failing scenario's LP is saved, as a loop would save it
-            j, status = failure.args
-            c, arrays = lp([j])
-            note = saved_note(ResolvableLp(c, **arrays))
-            raise RecourseError(
-                f"stage {t}, scenario {j}: upper envelope LP is {status}{note}"
-            ) from None
-        return np.array([v for group in groups for v in group])
+                values.append(float(sol.objective))
+            else:
+                values += [float(cj @ xj) for cj, xj in zip(np.split(c, G), np.split(sol.x, G))]
+        return np.array(values)
 
     # -- penalty selection -----------------------------------------------------
     def _coupled_columns(self, t: int) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 ``BoundIteration._envelope_values`` solves a stage's K scenario envelope LPs
 at one state as one block-diagonal LP when the envelope block adds no rows
-(MARSRM) and as K LPs side by side on the usable CPUs when it does (DR,
+(MARSRM) and as K LPs side by side on up to two usable CPUs when it does (DR,
 whatever the next stage's scenario count). These tests check its values
 against the literal per-scenario LPs of ``references.envelope_subproblem``,
 that a failed block names the first failing scenario and saves its LP alone,
@@ -177,7 +177,7 @@ def test_dr_bound_columns_do_not_depend_on_the_cpu_count(make_lattice, monkeypat
         started.clear()
         monkeypatch.setattr(msrisk.lp, "usable_cpus", lambda: cpus)
         columns[cpus] = hex_columns(engine("dr", lat, seed=5).run())
-        # one CPU: every LP on the calling thread; four: up to three helpers per state
+        # one CPU: every LP on the calling thread; four: one helper per state
         assert bool(started) == (cpus > 1)
     assert columns[1] == columns[4]
 

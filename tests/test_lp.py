@@ -171,10 +171,16 @@ def counted_threads(monkeypatch):
     return started
 
 
-@pytest.mark.parametrize("cpus, items, threads", [(1, 5, 0), (4, 1, 0), (2, 5, 1), (4, 3, 2)])
-def test_fan_out_keeps_item_order_with_the_caller_taking_a_share(monkeypatch, cpus, items, threads):
+@pytest.mark.parametrize(
+    "cpus, cap, items, threads",
+    [(1, 2, 5, 0), (4, 2, 1, 0), (2, 2, 5, 1), (4, 2, 3, 1), (4, 8, 3, 2)],
+)
+def test_fan_out_keeps_item_order_with_the_caller_taking_a_share(
+    monkeypatch, cpus, cap, items, threads
+):
     started = counted_threads(monkeypatch)
     monkeypatch.setattr(msrisk.lp, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(msrisk.lp, "FAN_OUT_CPUS", cap)
     callers = set()
 
     def square(i):
@@ -194,26 +200,28 @@ def test_fan_out_runs_items_side_by_side(monkeypatch):
     assert fan_out(lambda i: both.wait() if i < 2 else i, range(3))[2] == 2
 
 
-def test_fan_out_raises_the_first_items_exception(monkeypatch):
-    monkeypatch.setattr(msrisk.lp, "usable_cpus", lambda: 3)
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_fan_out_raises_the_first_items_exception(monkeypatch, cpus):
+    monkeypatch.setattr(msrisk.lp, "usable_cpus", lambda: cpus)
     done = []
 
     def fail_late(i):
         if i in (1, 2):
-            time.sleep(0.05 if i == 1 else 0.0)  # item 2 raises first
+            time.sleep(0.05 if i == 1 else 0.0)  # on two CPUs, item 2 raises first
             raise ValueError(f"item {i}")
         done.append(i)
         return i
 
     with pytest.raises(ValueError, match="^item 1$"):
         fan_out(fail_late, range(5))
-    assert sorted(done) == [0, 3, 4]  # the threads were joined
+    assert sorted(done) == [0, 3, 4]  # every item ran and the threads were joined
 
 
 def test_fan_out_hands_out_each_item_once_under_contention(monkeypatch):
     # more threads than cores and a short switch interval: a lost or doubled
     # item would show in the calls or the results
     monkeypatch.setattr(msrisk.lp, "usable_cpus", lambda: 8)
+    monkeypatch.setattr(msrisk.lp, "FAN_OUT_CPUS", 8)
     calls = []
 
     def record(i):
