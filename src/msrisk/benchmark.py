@@ -10,7 +10,7 @@ shared lattice.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -79,12 +79,17 @@ class AssetInstanceConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AssetInstanceConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"a config must be a JSON object, not {type(data).__name__}")
         data = dict(data)
         lognormal = data.pop("lognormal", None)
         if lognormal is not None:
             data.setdefault("mu", lognormal.get("mu", 0.6))
             data.setdefault("sigma", lognormal.get("sigma", 0.3))
             data.setdefault("corr", lognormal.get("corr", 0.5))
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(map(repr, unknown))}")
         return cls(**data)
 
     @classmethod
@@ -270,8 +275,10 @@ def step_spectrum_error_bound(
     ``mode='average'`` weights the support moduli by ``q``.
 
     ``lipschitz`` is a scalar, a per-support vector shared by all stages, or
-    one vector per stage ``1..T``; ``phi_integrals`` has one entry per stage.
-    Returns bounds for stages ``1..T``; the final stage has an empty tail.
+    one vector per stage ``1..T`` (a sequence of vectors, or the rows of a
+    2-D array); ``q`` is one weight vector, shared or per stage in the same
+    way. ``phi_integrals`` has one entry per stage. Returns bounds for stages
+    ``1..T``; the final stage has an empty tail.
     """
     if J < 1:
         raise ValueError("J must be at least 1")
@@ -279,23 +286,19 @@ def step_spectrum_error_bound(
     T = phi.size
     beta_j = 1.0 / J
 
-    def stage_moduli(t):
-        if np.isscalar(lipschitz):
-            return np.atleast_1d(float(lipschitz))
-        if isinstance(lipschitz, (list, tuple)) and lipschitz and not np.isscalar(lipschitz[0]):
-            return np.atleast_1d(np.asarray(lipschitz[t - 1], dtype=float))
-        return np.atleast_1d(np.asarray(lipschitz, dtype=float))
+    def at_stage(value, t):  # a sequence of vectors or a 2-D array has one row per stage
+        vectors = isinstance(value, (list, tuple)) and value and not np.isscalar(value[0])
+        return value[t - 1] if vectors or np.ndim(value) == 2 else value
 
     per_stage = np.zeros(T)
     for t in range(1, T + 1):
-        Lv = stage_moduli(t)
+        Lv = np.atleast_1d(np.asarray(at_stage(lipschitz, t), dtype=float))
         if mode == "robust":
             agg = float(np.max(Lv))
         elif mode == "average":
             if q is None:
                 raise ValueError("average mode needs the preference weights q")
-            qt = q[t - 1] if isinstance(q, (list, tuple)) else q
-            qv, Lb = np.broadcast_arrays(np.asarray(qt, dtype=float), Lv)
+            qv, Lb = np.broadcast_arrays(np.asarray(at_stage(q, t), dtype=float), Lv)
             agg = float(qv @ Lb)
         else:
             raise ValueError(f"unknown mode {mode!r}")

@@ -172,14 +172,10 @@ def _cmd_bound(args) -> int:
         raise ValueError("config has no spectrum_breakpoints; the bound needs J")
     inst = build_asset_instance(cfg)
     phi = wealth_phi_integrals(inst.lattice)
-    q = [p.probs for p in inst.preferences]
-    q = [np.ones(1)] + q  # stage-1 placeholder; its own bound only uses later stages
+    # a stage-1 placeholder; its own bound only uses later stages
+    q = [np.ones(1)] + [p.probs for p in inst.preferences]
     bounds = step_spectrum_error_bound(
-        args.lipschitz,
-        int(cfg.spectrum_breakpoints),
-        phi,
-        mode=args.bound_mode,
-        q=[np.atleast_1d(v) for v in q] if args.bound_mode == "average" else None,
+        args.lipschitz, int(cfg.spectrum_breakpoints), phi, mode=args.bound_mode, q=q
     )
     print(f"J={cfg.spectrum_breakpoints} max returns per stage: "
           f"{np.round(stage_max_returns(inst.lattice), 4).tolist()}")

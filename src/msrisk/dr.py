@@ -25,6 +25,7 @@ import numpy as np
 
 from .lp import LpError, block_matrix, solve_arrays
 from .risk import (
+    EQUIPROBABLE_TOL,
     ArsrmWeights,
     PreferenceDistribution,
     StepSpectrum,
@@ -33,7 +34,7 @@ from .risk import (
     combination_spectrum,
 )
 from .scenario import ScenarioLattice
-from .sddp import BoundIteration, Cut, CutPool, TrainReport
+from .sddp import BoundIteration, Cut, CutPool, TrainReport, _require_equiprobable_stages
 
 
 @dataclass(frozen=True)
@@ -158,7 +159,7 @@ def _check_equiprobable(probs, K):
     if probs is None:
         return
     p = np.asarray(probs, dtype=float)
-    if p.size != K or np.max(np.abs(p - 1.0 / K)) > 1e-15:
+    if p.size != K or np.max(np.abs(p - 1.0 / K)) > EQUIPROBABLE_TOL:
         raise UnsupportedConfigurationError(
             "the robust combination requires equiprobable scenarios"
         )
@@ -176,12 +177,7 @@ def resolve_ambiguities(lattice: ScenarioLattice, ambs) -> tuple[dict, dict]:
         ambs = [ambs] * (T - 1)
     if len(ambs) != T - 1:
         raise ValueError(f"need one ambiguity set per stage 2..{T}")
-    for t in range(2, T + 1):
-        if not lattice.is_equiprobable(t):
-            raise UnsupportedConfigurationError(
-                f"stage {t} is not equiprobable; the robust combination "
-                "requires equiprobable stages"
-            )
+    _require_equiprobable_stages(lattice, "robust combination")
     amb_map = {t: ambs[t - 2] for t in range(2, T + 1)}
     return amb_map, {t: amb.stage_weights(lattice.size(t)) for t, amb in amb_map.items()}
 

@@ -4,21 +4,23 @@ Builds one monolithic LP over the whole scenario tree with one recursive node
 builder. Every internal node carries a risk block: each CVaR of the next
 stage's combination in its eta-minimization form, with nonnegative shortfall
 columns Delta_{k,j} per level k and child j, which is exact because all the
-combination weights are nonnegative. The block's costs and support rows are
-given over ``[zeta, eta, s]``: a level's shortfalls share one weight, so the
-level sum ``s_k = sum_j Delta_{k,j}`` stands for them. MARSRM prices eta and
-the shortfalls with the combination weights and has no zeta; the
-distributionally robust variant prices the moment-dual variables zeta and
-bounds the combination by one support row per support point, which reads K
-free level-sum columns, tied to the Delta by K equality rows. A level that no
-cost or support row weighs gets no columns and no rows. Each internal node
-below the root holds its priced cost in one free column z, tied to it by one
-equality row, so its parent's link rows read z alone. Intended as a
-ground-truth reference at desk scale; a size guard refuses trees that would
-exceed ``MAX_ORACLE_VARIABLES`` variables.
+combination weights are nonnegative. A level's shortfalls share one weight,
+so the level sum ``s_k = sum_j Delta_{k,j}`` stands for them in the block's
+costs and support rows, given over ``[zeta, eta, s]``. MARSRM prices eta and
+the shortfalls with the combination weights; the distributionally robust
+variant also prices the moment-dual variables zeta and bounds the combination
+by one support row per support point. A level that no cost or support row
+weighs gets no columns and no rows. Each internal node below the root holds
+its priced cost in one free column z, so its parent's link rows read z alone.
+The node layout (columns and row blocks) is built once per stage; each node
+adds its rows to ``LpModel`` one block per kind, and the size guard counts
+columns from the same layout, refusing trees above ``MAX_ORACLE_VARIABLES``
+variables. Intended as a ground-truth reference at desk scale.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,14 +31,55 @@ from .sddp import resolve_stage_weights
 MAX_ORACLE_VARIABLES = 200_000
 
 
-def _levels(block, K) -> np.ndarray:
-    """The CVaR levels that some cost or support row of a risk block weighs."""
-    costs, support = block
-    weights = np.vstack([costs, support])[:, costs.size - 2 * K :]
-    return np.flatnonzero(np.any(weights.reshape(-1, 2, K) != 0.0, axis=(0, 1)))
+class _NodeLayout(NamedTuple):
+    """The risk columns y of every node at one internal stage: zeta, eta,
+    Delta (level-major) and, with support rows, the level sums s, of the
+    used CVaR ``levels`` only. ``lb`` and ``costs`` give one entry per
+    column; ``level_sums`` (the rows ``sum_j Delta_{k,j} - s_k = 0``) and
+    ``support`` are row blocks over y, and ``links[j]`` holds the y part
+    ``-eta_k - Delta_{k,j}`` of child j's link rows."""
+
+    levels: np.ndarray
+    lb: np.ndarray
+    costs: np.ndarray
+    level_sums: np.ndarray
+    support: np.ndarray
+    links: np.ndarray
 
 
-def _check_size(lattice, root_stage, risk) -> int:
+def _node_layouts(lattice, risk) -> dict:
+    """Per internal stage t, the node layout of risk block ``risk[t + 1]``,
+    the ``(costs, support rows)`` pair over ``[zeta, eta, s]``."""
+    layouts = {}
+    for child, (costs, support) in risk.items():
+        K = lattice.size(child)
+        nz = costs.size - 2 * K
+        weights = np.vstack([costs, support])[:, nz:].reshape(-1, 2, K)
+        # a level that no cost or support row weighs gets no columns and no rows
+        levels = np.flatnonzero(np.any(weights != 0.0, axis=(0, 1)))
+        L = levels.size
+        S = L if len(support) else 0  # the level sums s are read by support rows only
+        eye, free, sums = np.eye(L), nz + L, nz + K + levels  # free: zeta and eta
+        # each block over y is laid out as [zeta (nz), eta (L), Delta (L*K), s (S)]
+        layouts[child - 1] = _NodeLayout(
+            levels,
+            lb=np.r_[np.full(free, -np.inf), np.zeros(L * K), np.full(S, -np.inf)],
+            costs=np.r_[costs[:nz], costs[nz + levels], np.repeat(costs[sums], K), np.zeros(S)],
+            level_sums=np.hstack([np.zeros((S, free)), np.kron(eye[:S], np.ones(K)), -np.eye(S)]),
+            support=np.hstack([
+                support[:, np.r_[:nz, nz + levels]],
+                np.zeros((len(support), L * K)),
+                support[:, sums[:S]],
+            ]),
+            links=np.array([
+                np.hstack([np.zeros((L, nz)), -eye, -np.kron(eye, e), np.zeros((L, S))])
+                for e in np.eye(K)
+            ]),
+        )
+    return layouts
+
+
+def _check_size(lattice, root_stage, layouts) -> int:
     """The number of columns ``_add_node`` builds for a tree rooted at
     ``root_stage``; raises :class:`LpError` above ``MAX_ORACLE_VARIABLES``."""
     width, n = 1, 0
@@ -45,12 +88,7 @@ def _check_size(lattice, root_stage, risk) -> int:
             width *= lattice.size(t)
         n += width * lattice.num_vars(t)
         if t < lattice.horizon:
-            K = lattice.size(t + 1)
-            costs, support = risk[t + 1]
-            L = _levels(risk[t + 1], K).size
-            # zeta, eta, Delta, the level sums s, and z below the root
-            n += width * (costs.size - 2 * K + L + L * K)
-            n += width * ((L if len(support) else 0) + (t > root_stage))
+            n += width * (layouts[t].costs.size + (t > root_stage))  # y, and z below the root
     if n > MAX_ORACLE_VARIABLES:
         raise LpError(
             f"extensive form would need {n} variables "
@@ -59,93 +97,57 @@ def _check_size(lattice, root_stage, risk) -> int:
     return n
 
 
-def _add_node(model, lattice, risk, t, j, parent, root=False):
+def _add_node(model, lattice, layouts, t, j, parent, root=False):
     """Add node ``(t, j)`` and its subtree; return the columns and weights of its cost.
 
-    ``risk[t + 1]`` is the ``(costs, support rows)`` pair of the node's risk
-    block, both over ``[zeta, eta, s]``. ``parent`` is either the parent
-    node's decision columns (an integer array) or a fixed previous state
-    folded into the rhs. The root's cost is its objective; any other node's
-    cost enters its parent's rows ``cost - eta_k - Delta_{k,j} <= 0``, as
-    its column z or, at a leaf, as its priced decision columns.
+    ``layouts`` holds each internal stage's :class:`_NodeLayout`. ``parent``
+    is either the parent node's decision columns (an integer array) or a
+    fixed previous state folded into the rhs. The root's cost is its
+    objective; any other node's cost enters its parent's rows ``cost - eta_k
+    - Delta_{k,j} <= 0``, as its column z or, at a leaf, as its priced
+    decision columns.
     """
     r = lattice.stage(t)[j]
-    n = r.num_vars
-    leaf = t == lattice.horizon
-    if leaf:
-        costs = r.c
-    else:
-        K = lattice.size(t + 1)
-        block, support = risk[t + 1]
-        levels = _levels(risk[t + 1], K)
-        nz = block.size - 2 * K
-        # the columns [zeta, eta, Delta] of the used levels, Delta level-major
-        used = np.concatenate([np.arange(nz), nz + levels])
-        costs = np.concatenate([r.c, block[used], np.repeat(block[nz + K + levels], K)])
-    obj = costs if root else np.zeros(costs.size)
-    x = model.add_variables(n, obj=obj[:n], lb=0.0)
+    x = model.add_variables(r.num_vars, obj=r.c if root else 0.0, lb=0.0)
     if isinstance(parent, np.ndarray) and parent.dtype.kind == "i":
-        for i in range(r.A.shape[0]):
-            cols = np.concatenate([x, parent])
-            coefs = np.concatenate([r.A[i], r.E[i]])
-            keep = coefs != 0.0
-            model.add_equality(cols[keep], coefs[keep], r.b[i])
+        model.add_equality(np.concatenate([x, parent]), np.hstack([r.A, r.E]), r.b)
     else:
-        rhs = r.b - r.E @ np.asarray(parent, dtype=float)
-        for i in range(r.A.shape[0]):
-            keep = r.A[i] != 0.0
-            model.add_equality(x[keep], r.A[i][keep], rhs[i])
-    cols = x
-    if not leaf:
-        L = levels.size
-        # zeta and eta are free, Delta is nonnegative
-        free = model.add_variables(used.size, obj=obj[n : n + used.size], lb=None)
-        delta = model.add_variables(L * K, obj=obj[n + used.size :], lb=0.0)
-        cols = np.concatenate([x, free, delta])
-        if len(support):
-            s = model.add_variables(L, lb=None)
-            for i in range(L):
-                model.add_equality(
-                    np.append(delta[i * K : (i + 1) * K], s[i]), np.append(np.ones(K), -1.0), 0.0
-                )
-            rows = support[:, np.concatenate([used, nz + K + levels])]
-            for row in rows:
-                keep = row != 0.0
-                model.add_inequality(np.concatenate([free, s])[keep], row[keep], 0.0)
-    keep = costs != 0.0
-    cols, costs = cols[keep], costs[keep]
-    if not (root or leaf):
+        model.add_equality(x, r.A, r.b - r.E @ parent)
+    if t == lattice.horizon:
+        return x, r.c
+    lay = layouts[t]
+    y = model.add_variables(lay.costs.size, obj=lay.costs if root else 0.0, lb=lay.lb)
+    model.add_equality(y, lay.level_sums, np.zeros(len(lay.level_sums)))
+    model.add_inequality(y, lay.support, np.zeros(len(lay.support)))
+    cols, costs = np.concatenate([x, y]), np.concatenate([r.c, lay.costs])
+    if not root:
         z = model.add_variable(lb=None)
         model.add_equality(np.append(cols, z), np.append(costs, -1.0), 0.0)
         cols, costs = np.array([z]), np.ones(1)
-    if not leaf:
-        eta = free[nz:]
-        for j2 in range(K):
-            child, child_costs = _add_node(model, lattice, risk, t + 1, j2, x)
-            for i in range(L):
-                model.add_inequality(
-                    np.concatenate([child, [eta[i], delta[i * K + j2]]]),
-                    np.concatenate([child_costs, [-1.0, -1.0]]),
-                    0.0,
-                )
+    for j2, link in enumerate(lay.links):
+        child, child_costs = _add_node(model, lattice, layouts, t + 1, j2, x)
+        model.add_inequality(
+            np.concatenate([child, y]),
+            np.hstack([np.tile(child_costs, (len(link), 1)), link]),
+            np.zeros(len(link)),
+        )
     return cols, costs
 
 
-def _solve_tree(lattice, risk, t, j, parent) -> float:
-    _check_size(lattice, t, risk)
+def _solve_tree(lattice, risk, t, j, x_prev) -> float:
+    layouts = _node_layouts(lattice, risk)
+    _check_size(lattice, t, layouts)
     model = LpModel()
-    _add_node(model, lattice, risk, t, j, parent, root=True)
+    _add_node(model, lattice, layouts, t, j, np.asarray(x_prev, dtype=float), root=True)
     sol = model.solve()
     if not sol.is_optimal:
-        c, A_eq, b_eq, A_ub, b_ub, bounds = model.arrays()
-        note = saved_note(ResolvableLp(c, A_eq, b_eq, A_ub=A_ub, b_ub=b_ub, bounds=bounds))
+        note = saved_note(ResolvableLp(*model.arrays()))
         raise LpError(f"extensive form LP is {sol.status}{note}")
     return float(sol.objective)
 
 
 def _subtree_values(lattice, risk, t, x_prev) -> list:
     """Exact values of every stage-t scenario subtree at ``x_prev``."""
-    x_prev = np.asarray(x_prev, dtype=float)
     return [_solve_tree(lattice, risk, t, j, x_prev) for j in range(lattice.size(t))]
 
 
@@ -170,7 +172,7 @@ def extensive_form_marsrm(lattice, prefs=None, weights=None) -> float:
 def subtree_value(lattice, t, j, x_prev, prefs=None, weights=None) -> float:
     """Exact cost-to-go ``V_t(x_prev, xi_{t,j})`` of one scenario subtree."""
     risk, _ = _marsrm_risk(lattice, prefs, weights)
-    return _solve_tree(lattice, risk, t, j, np.asarray(x_prev, dtype=float))
+    return _solve_tree(lattice, risk, t, j, x_prev)
 
 
 def cost_to_go_oracle(lattice, t, x_prev, prefs=None, weights=None) -> float:
@@ -214,7 +216,7 @@ def extensive_form_dr(lattice, ambs) -> float:
 def dr_subtree_value(lattice, t, j, x_prev, ambs) -> float:
     """Exact robust cost-to-go of one scenario subtree at ``x_prev``."""
     risk, _, _ = _dr_risk(lattice, ambs)
-    return _solve_tree(lattice, risk, t, j, np.asarray(x_prev, dtype=float))
+    return _solve_tree(lattice, risk, t, j, x_prev)
 
 
 def dr_cost_to_go_oracle(lattice, t, x_prev, ambs) -> float:

@@ -4,6 +4,8 @@
 
     min c'x   s.t.  A_eq x = b_eq,  A_ub x <= b_ub,  lb <= x <= ub,
 
+that takes rows alone or in blocks (a dense matrix over a set of columns),
+keeps only their nonzeros and assembles CSR matrices once, in ``arrays``.
 ``LpModel.solve`` and ``solve_arrays`` return primal values, the objective,
 and duals for both row families; ``block_matrix`` assembles the matrices of
 array LPs from blocks, and ``fan_out`` spreads independent solves over up to
@@ -251,83 +253,70 @@ class LpModel:
     """Incremental sparse LP builder.
 
     Variables and rows are indexed in creation order; rows are equality or
-    ``<=`` inequality, and each ``add_*`` returns the new index, which is
-    where the row's dual sits in the solution.
+    ``<=`` inequality. A row is added alone, as a coefficient vector over
+    ``indices`` with a scalar rhs, or in a block, as a matrix over ``indices``
+    with one rhs per row; zero coefficients are dropped. A row method returns
+    the index of its first new row, where that row's dual sits in the
+    solution; ``add_variables`` returns the new columns' indices.
     """
 
     def __init__(self):
-        self._obj: list[float] = []
-        self._lb: list[float] = []
-        self._ub: list[Optional[float]] = []
-        self._eq_rows: list[tuple[np.ndarray, np.ndarray]] = []
-        self._eq_rhs: list[float] = []
-        self._ub_rows: list[tuple[np.ndarray, np.ndarray]] = []
-        self._ub_rhs: list[float] = []
+        self.num_variables = 0
+        self._columns: list[np.ndarray] = []  # (cost, lb, ub) chunks
+        self._rows = {"eq": [], "ub": []}  # (row, column, value, rhs) chunks
+        self._count = {"eq": 0, "ub": 0}
 
     # -- variables ---------------------------------------------------------
     def add_variable(self, obj=0.0, lb=0.0, ub=None) -> int:
-        self._obj.append(float(obj))
-        self._lb.append(-np.inf if lb is None else float(lb))
-        self._ub.append(ub)
-        return len(self._obj) - 1
+        return int(self.add_variables(1, obj, lb, ub)[0])
 
     def add_variables(self, count, obj=0.0, lb=0.0, ub=None) -> np.ndarray:
-        objs = np.broadcast_to(np.asarray(obj, dtype=float), (count,))
-        return np.array([self.add_variable(o, lb, ub) for o in objs])
+        """``count`` new columns with one cost or one per column; a bound of
+        ``None`` is no bound."""
+        bounds = (-np.inf if lb is None else lb, np.inf if ub is None else ub)
+        columns = [np.broadcast_to(v, count) for v in (obj, *bounds)]
+        self._columns.append(np.array(columns, dtype=float))
+        self.num_variables += count
+        return np.arange(self.num_variables - count, self.num_variables)
 
     # -- rows ---------------------------------------------------------------
     def add_equality(self, indices, coefficients, rhs) -> int:
-        self._eq_rows.append(self._row(indices, coefficients))
-        self._eq_rhs.append(float(rhs))
-        return len(self._eq_rhs) - 1
+        return self._add_rows("eq", indices, coefficients, rhs)
 
     def add_inequality(self, indices, coefficients, rhs) -> int:
-        self._ub_rows.append(self._row(indices, coefficients))
-        self._ub_rhs.append(float(rhs))
-        return len(self._ub_rhs) - 1
+        return self._add_rows("ub", indices, coefficients, rhs)
 
-    def _row(self, indices, coefficients):
+    def _add_rows(self, family, indices, coefficients, rhs) -> int:
         idx = np.asarray(indices, dtype=int)
-        coef = np.asarray(coefficients, dtype=float)
-        if idx.shape != coef.shape:
-            raise ValueError("row indices and coefficients must align")
-        return idx, coef
-
-    # -- introspection -------------------------------------------------------
-    @property
-    def num_variables(self) -> int:
-        return len(self._obj)
+        coef, rhs = np.asarray(coefficients, dtype=float), np.array(rhs, dtype=float)
+        if coef.ndim == 1:  # one row
+            coef, rhs = coef[None], rhs[None]
+        if rhs.ndim != 1 or coef.shape != rhs.shape + idx.shape:
+            raise ValueError(f"{coef.shape} coefficients for {idx.size} columns, {rhs.size} rows")
+        first = self._count[family]
+        r, k = np.nonzero(coef)
+        self._rows[family].append((r + first, idx[k], coef[r, k], rhs))
+        self._count[family] += rhs.size
+        return first
 
     @property
     def num_rows(self) -> tuple[int, int]:
-        return len(self._eq_rhs), len(self._ub_rhs)
+        return self._count["eq"], self._count["ub"]
 
     # -- assembly and solve ---------------------------------------------------
-    def _matrix(self, rows, n):
-        sizes = [idx.size for idx, _ in rows]
-        ri = np.repeat(np.arange(len(rows)), sizes)
-        ci = np.concatenate([idx for idx, _ in rows])
-        data = np.concatenate([coef for _, coef in rows])
-        return sparse.coo_matrix((data, (ri, ci)), shape=(len(rows), n)).tocsr()
-
     def arrays(self):
-        n = self.num_variables
-        c = np.asarray(self._obj)
-        A_eq = self._matrix(self._eq_rows, n) if self._eq_rows else None
-        A_ub = self._matrix(self._ub_rows, n) if self._ub_rows else None
-        bounds = [
-            (lb if np.isfinite(lb) else None, ub)
-            for lb, ub in zip(self._lb, self._ub)
-        ]
-        return c, A_eq, np.asarray(self._eq_rhs), A_ub, np.asarray(self._ub_rhs), bounds
+        """``(c, A_eq, b_eq, A_ub, b_ub, bounds)`` as ``solve_arrays`` takes them:
+        CSR matrices (``None`` with their rhs for a family without rows) and one
+        ``(lb, ub)`` row per column, +-inf for none."""
+        c, lb, ub = np.hstack(self._columns) if self._columns else np.empty((3, 0))
+        return c, *self._matrix("eq"), *self._matrix("ub"), np.column_stack([lb, ub])
+
+    def _matrix(self, family):
+        if not self._count[family]:
+            return None, None
+        rows, cols, vals, rhs = (np.concatenate(x) for x in zip(*self._rows[family]))
+        shape = (self._count[family], self.num_variables)
+        return sparse.coo_matrix((vals, (rows, cols)), shape=shape).tocsr(), rhs
 
     def solve(self) -> LpSolution:
-        c, A_eq, b_eq, A_ub, b_ub, bounds = self.arrays()
-        return solve_arrays(
-            c,
-            A_eq=A_eq,
-            b_eq=b_eq if A_eq is not None else None,
-            A_ub=A_ub,
-            b_ub=b_ub if A_ub is not None else None,
-            bounds=bounds,
-        )
+        return solve_arrays(*self.arrays())

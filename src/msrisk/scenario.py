@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .risk import PreferenceDistribution, combination_spectrum, project_spectrum
+from .risk import EQUIPROBABLE_TOL, PreferenceDistribution, combination_spectrum, project_spectrum
 
 _PURPOSE_CODES = {"lattice": 1, "forward": 2, "preference": 3, "ambiguity": 4}
 
@@ -113,7 +113,7 @@ class ScenarioLattice:
 
     def is_equiprobable(self, t: int) -> bool:
         k = self.size(t)
-        return bool(np.max(np.abs(self.probs(t) - 1.0 / k)) <= 1e-15)
+        return bool(np.max(np.abs(self.probs(t) - 1.0 / k)) <= EQUIPROBABLE_TOL)
 
     @property
     def x0(self) -> np.ndarray:

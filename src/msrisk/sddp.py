@@ -50,6 +50,16 @@ from .scenario import RngStream, ScenarioLattice
 CSV_HEADER = "cuts,lower,upper,gap,time_lower_s,time_upper_s"
 
 
+def _require_equiprobable_stages(lattice: ScenarioLattice, combination: str) -> None:
+    """Raise unless every stage ``2..T`` is equiprobable, as ``combination`` needs."""
+    for t in range(2, lattice.horizon + 1):
+        if not lattice.is_equiprobable(t):
+            raise UnsupportedConfigurationError(
+                f"stage {t} is not equiprobable; the {combination} is only "
+                "defined on the equiprobable grid"
+            )
+
+
 def resolve_stage_weights(
     lattice: ScenarioLattice,
     prefs=None,
@@ -63,12 +73,7 @@ def resolve_stage_weights(
     every stage to be equiprobable.
     """
     T = lattice.horizon
-    for t in range(2, T + 1):
-        if not lattice.is_equiprobable(t):
-            raise UnsupportedConfigurationError(
-                f"stage {t} is not equiprobable; the CVaR-combination "
-                "reduction is only defined on the equiprobable grid"
-            )
+    _require_equiprobable_stages(lattice, "CVaR-combination reduction")
     if weights is not None:
         ws = list(weights) if isinstance(weights, (list, tuple)) else [weights] * (T - 1)
         if len(ws) != T - 1:

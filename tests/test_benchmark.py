@@ -143,6 +143,22 @@ class TestErrorBound:
         assert abs(avg[0] - 1.0 / 4.0) < 1e-15
         assert np.all(avg <= robust + 1e-15)
 
+    def test_per_stage_moduli_as_array_rows(self):
+        phi = [1.0, 1.0, 1.0]
+        L = [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+        q = [[0.5, 0.5], [0.25, 0.75], [1.0, 0.0]]
+        # stage maxima 2, 4, 6 and averages 1.5, 3.75, 5, halved by J = 2
+        robust = step_spectrum_error_bound(np.array(L), 2, phi)
+        np.testing.assert_array_equal(robust, [5.0, 3.0, 0.0])
+        np.testing.assert_array_equal(step_spectrum_error_bound(L, 2, phi), robust)
+        avg = step_spectrum_error_bound(np.array(L), 2, phi, mode="average", q=np.array(q))
+        np.testing.assert_array_equal(avg, [4.375, 2.5, 0.0])
+        np.testing.assert_array_equal(
+            step_spectrum_error_bound(L, 2, phi, mode="average", q=q), avg
+        )
+        ragged = step_spectrum_error_bound([[2.0], [1.0, 4.0], [6.0, 0.0, 3.0]], 2, phi)
+        np.testing.assert_array_equal(ragged, robust)
+
     def test_soundness_on_two_stage_oracle(self):
         # Lipschitz spectrum sigma(z) = 2z (modulus 2): measured value error
         # between the exact spectrum and its J-cell projection stays under the

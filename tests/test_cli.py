@@ -144,6 +144,18 @@ def test_missing_config_is_usage_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc, reason",
+    [({"horizon": 2, "sedd": 3}, "unknown config keys: 'sedd'"), ([1, 2], "not list")],
+)
+def test_malformed_config_is_usage_error(tmp_path, doc, reason, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["oracle", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and reason in err
+
+
 @pytest.mark.parametrize("flag", ["--iters", "--paths"])
 def test_nonpositive_budget_is_usage_error(config_path, tmp_path, flag, capsys):
     code = main(

@@ -20,8 +20,8 @@ from msrisk.extensive import (
     _add_node,
     _check_size,
     _dr_risk,
-    _levels,
     _marsrm_risk,
+    _node_layouts,
     cost_to_go_oracle,
     dr_cost_to_go_oracle,
     dr_subtree_value,
@@ -283,7 +283,7 @@ def nonzeros(model):
 
 def sparse_model(lat, risk, t, x_prev):
     model = LpModel()
-    _add_node(model, lat, risk, t, 0, x_prev, root=True)
+    _add_node(model, lat, _node_layouts(lat, risk), t, 0, x_prev, root=True)
     return model
 
 
@@ -320,9 +320,12 @@ def test_check_size_counts_the_built_columns():
         x1, _ = stage_states(lat)
         marsrm = _marsrm_risk(lat, inst.preferences, None)[0]
         for risk in (marsrm, _dr_risk(lat, inst.ambiguities)[0]):
+            layouts = _node_layouts(lat, risk)
             for t, x_prev in ((1, lat.x0), (2, x1)):
-                assert _check_size(lat, t, risk) == sparse_model(lat, risk, t, x_prev).num_variables
-        skipped += sum(_levels(marsrm[t], lat.size(t)).size < lat.size(t) for t in marsrm)
+                built = sparse_model(lat, risk, t, x_prev).num_variables
+                assert _check_size(lat, t, layouts) == built
+        layouts = _node_layouts(lat, marsrm)
+        skipped += sum(layouts[t - 1].levels.size < lat.size(t) for t in marsrm)
     # some MARSRM level carries no weight, so its columns are skipped and counted so
     assert skipped > 0
 
@@ -337,7 +340,8 @@ def test_infeasible_tree_lp_is_saved():
     with pytest.raises(LpError, match=message) as err:
         dr_subtree_value(lat, 2, 0, -np.ones(2), amb)
     h = read_saved(str(err.value))
-    assert h.getLp().num_col_ == _check_size(lat, 2, _dr_risk(lat, amb)[0])
+    layouts = _node_layouts(lat, _dr_risk(lat, amb)[0])
+    assert h.getLp().num_col_ == _check_size(lat, 2, layouts)
     h.run()
     assert h.getModelStatus().name == "kInfeasible"
 

@@ -41,6 +41,36 @@ def test_degenerate_redundant_equality():
     assert abs(sol.x[0] + sol.x[1] - 2.0) < 1e-7
 
 
+def test_block_rows_match_rows_added_one_at_a_time():
+    rng = np.random.default_rng(4)
+    block = rng.normal(size=(4, 5)) * (rng.random((4, 5)) < 0.6)
+    cols, rhs, obj = np.array([6, 0, 3, 2, 5]), rng.normal(size=4), rng.normal(size=7)
+    blocked, rowwise = LpModel(), LpModel()
+    for m in (blocked, rowwise):
+        m.add_variables(7, obj=obj, lb=None)
+        m.add_equality([1], [1.0], 2.0)
+        m.add_inequality([4], [1.0], 3.0)
+    assert blocked.add_equality(cols, block, rhs) == 1
+    assert blocked.add_inequality(cols, -block, -rhs) == 1
+    for add, sign in ((rowwise.add_equality, 1.0), (rowwise.add_inequality, -1.0)):
+        for row, b in zip(block, rhs):
+            add(cols, sign * row, sign * b)  # zeros included; both drop them
+    for a, b in zip(blocked.arrays(), rowwise.arrays()):
+        if isinstance(a, np.ndarray):
+            np.testing.assert_array_equal(a, b)
+        else:
+            assert a.nnz == np.count_nonzero(block) + 1
+            for part in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(a, part), getattr(b, part))
+    assert blocked.num_rows == rowwise.num_rows == (5, 5)
+    for bad_cols, bad_rhs in ((cols[:4], rhs), (cols, rhs[:3]), (cols, 0.0)):
+        with pytest.raises(ValueError):
+            blocked.add_equality(bad_cols, block, bad_rhs)
+        with pytest.raises(ValueError):
+            blocked.add_inequality(bad_cols, block, bad_rhs)
+    assert blocked.num_rows == (5, 5)
+
+
 def test_statuses():
     infeasible = solve_arrays(
         np.array([1.0]),
