@@ -38,6 +38,35 @@ MODE_PRESETS = {
 }
 
 
+def _check_numbers(key, value, kinds, scalar=False) -> None:
+    """Raise ``ValueError`` unless config ``value`` is a number of the numpy
+    ``kinds`` or, unless ``scalar``, nested lists of them; ``None`` passes
+    for the keys that default to it."""
+    if value is None and key in ("scenarios_per_stage", "spectrum_breakpoints"):
+        return
+    try:
+        ok = np.asarray(value).dtype.kind in kinds and not (scalar and np.ndim(value))
+    except ValueError:  # ragged lists
+        ok = False
+    if not ok:
+        what = ("an integer" if kinds == "iu" else "a number") + ("" if scalar else " or a list")
+        raise ValueError(f"config key {key!r} must be {what}, not {value!r}")
+
+
+class _Section(dict):
+    """A config object such as ``preference``; a missing key raises a
+    ``ValueError`` that names it, where ``get`` gives the default."""
+
+    def __init__(self, name, spec):
+        if not isinstance(spec, dict):
+            raise ValueError(f"config key {name!r} must be an object, not {spec!r}")
+        super().__init__(spec)
+        self.name = name
+
+    def __missing__(self, key):
+        raise ValueError(f"config key '{self.name}.{key}' is missing")
+
+
 @dataclass
 class AssetInstanceConfig:
     """Everything needed to rebuild a benchmark instance bit-identically."""
@@ -55,6 +84,10 @@ class AssetInstanceConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for key in ("horizon", "assets", "seed", "spectrum_breakpoints"):
+            _check_numbers(key, getattr(self, key), "iu", scalar=True)
+        for key in ("scenarios_per_stage", "mu", "sigma", "corr", "transaction_cost"):
+            _check_numbers(key, getattr(self, key), "iu" if key == "scenarios_per_stage" else "iuf")
         if self.horizon < 2:
             raise ValueError("horizon must be at least 2")
         if self.assets < 1:
@@ -82,15 +115,15 @@ class AssetInstanceConfig:
         if not isinstance(data, dict):
             raise ValueError(f"a config must be a JSON object, not {type(data).__name__}")
         data = dict(data)
-        lognormal = data.pop("lognormal", None)
-        if lognormal is not None:
-            data.setdefault("mu", lognormal.get("mu", 0.6))
-            data.setdefault("sigma", lognormal.get("sigma", 0.3))
-            data.setdefault("corr", lognormal.get("corr", 0.5))
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        lognormal = _Section("lognormal", data.pop("lognormal", {}))
+        unknown = sorted(set(data) - {f.name for f in fields(cls)}) + sorted(
+            f"lognormal.{key}" for key in set(lognormal) - {"mu", "sigma", "corr"}
+        )
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(map(repr, unknown))}")
-        return cls(**data)
+        if "horizon" not in data:
+            raise ValueError("config key 'horizon' is missing")
+        return cls(**{**lognormal, **data})  # a top-level mu, sigma or corr wins
 
     @classmethod
     def from_json(cls, path) -> "AssetInstanceConfig":
@@ -140,7 +173,7 @@ def config_spectrum_builder(cfg: AssetInstanceConfig):
 
 
 def _build_preferences(cfg: AssetInstanceConfig, rng: RngStream):
-    spec = cfg.preference or {"kind": "preset", "name": "risk_neutral"}
+    spec = _Section("preference", cfg.preference or {"kind": "preset", "name": "risk_neutral"})
     kind = spec.get("kind")
     builder = config_spectrum_builder(cfg)
     stages = range(2, cfg.horizon + 1)
@@ -175,7 +208,7 @@ def _build_preferences(cfg: AssetInstanceConfig, rng: RngStream):
 def _build_ambiguities(cfg: AssetInstanceConfig, rng: RngStream):
     if cfg.ambiguity is None:
         return None
-    spec = cfg.ambiguity
+    spec = _Section("ambiguity", cfg.ambiguity)
     kind = spec.get("kind", "sampled")
     builder = config_spectrum_builder(cfg)
     stages = range(2, cfg.horizon + 1)

@@ -10,9 +10,9 @@ stage. ``DrSddp`` plugs that block into the shared bound iteration of
 scenario-wise) and scenario-wise upper envelopes. Per-scenario solves within
 a backward step are independent; appends happen in fixed scenario order, so
 runs are schedule-independent and seed-reproducible. The K envelope LPs at one
-state share no row, so the upper sweep solves them side by side on up to two
-usable CPUs (see ``BoundIteration._envelope_values``) and reads their values
-back in scenario order.
+state share no row, so the upper sweep solves them as one block-diagonal LP
+(see ``BoundIteration._envelope_values``), whose support rows read level sums
+where the stage LPs read every shortfall column.
 """
 
 from __future__ import annotations
@@ -285,21 +285,17 @@ class DrSddp(BoundIteration):
     def _stage_pools(self, t):
         return self.pools[t]
 
-    def _robust_rows(self, t, n, width, height, middle):
-        """``<=`` rows of a stage-t robust LP over ``[x, zeta, eta, Delta, u, ...]``.
+    def _robust_rows(self, t, n, height, blocks):
+        """``<=`` row blocks of a stage-t robust LP over ``[x, zeta, eta, Delta, u, ...]``.
 
-        The support rows come first, then the ``height`` rows whose blocks
-        ``middle`` lists, then the level rows, whose ``u_j`` entries close
-        each level against scenario j.
+        ``blocks`` fill the first ``height`` rows; the level rows follow,
+        whose ``u_j`` entries close each level against scenario j.
         """
         block = self._blocks[t + 1]
         K = self.lattice.size(t + 1)
-        S, d = block.support.shape
-        bottom = S + height
-        middle = [(S + r0, c0, b) for r0, c0, b in middle]
+        d = block.obj.size
         u_cols = np.tile(np.eye(K), (K, 1))
-        level = [(bottom, n + d - K - K * K, block.level), (bottom, n + d, u_cols)]
-        return block_matrix((bottom + K * K, width), [(0, n, block.support), *middle, *level])
+        return [*blocks, (height, n + d - K - K * K, block.level), (height, n + d, u_cols)]
 
     def _robust_columns(self, t):
         """Costs and bounds of the risk-block columns ``[zeta, eta, Delta, u]``."""
@@ -314,13 +310,15 @@ class DrSddp(BoundIteration):
         K = len(pools)
         mats = [p.matrices() for p in pools]
         b_cuts = np.concatenate([-g for _, g in mats])
-        cuts, row = [], 0
+        S = block.support.shape[0]
+        rows, row = [(0, n, block.support)], S
         for j, (G, g) in enumerate(mats):
-            cuts += [(row, 0, G), (row, n + d + j, -np.ones((g.size, 1)))]
+            rows += [(row, 0, G), (row, n + d + j, -np.ones((g.size, 1)))]
             row += g.size
-        b_ub = np.concatenate([np.zeros(block.support.shape[0]), b_cuts, np.zeros(K * K)])
+        b_ub = np.concatenate([np.zeros(S), b_cuts, np.zeros(K * K)])
         costs, bounds = self._robust_columns(t)
-        return costs, self._robust_rows(t, n, n + d + K, row, cuts), b_ub, bounds
+        A_ub = block_matrix((row + K * K, n + d + K), self._robust_rows(t, n, row, rows))
+        return costs, A_ub, b_ub, bounds
 
     def _add_cuts(self, t, x_prev, vals, grads):
         """One cut per scenario, each into that scenario's pool."""
@@ -331,14 +329,31 @@ class DrSddp(BoundIteration):
         return vals
 
     def _envelope_block(self, t, n, values):
-        """Each envelope value bounds ``u_e`` in one ``<=`` row."""
+        """Each envelope value bounds ``u_e`` in one ``<=`` row, and the support
+        rows read the level sums ``s_k``, with one row ``sum_j Delta_{k,j} -
+        s_k <= 0`` per level, after the ``u`` columns.
+
+        A level's ``Delta`` columns share one support coefficient, so every
+        K-th column of the block's support rows gives the ``s`` coefficients.
+        The sums are exact whatever the signs: any slack in ``s_k`` can move
+        into one ``Delta_{k,j}``, which only loosens its level row.
+        """
+        block = self._blocks[t + 1]
         K, tail = values.shape
+        S, d = block.support.shape
+        delta, s = n + d - K * K, n + d + K
+        rows = [
+            (0, n, block.support[:, : d - K * K]),
+            (0, s, block.support[:, d - K * K :: K]),
+            (S, delta, np.kron(np.eye(K), np.ones(K))),
+            (S, s, -np.eye(K)),
+            (S + K, s + K, values),
+            (S + K, s - K, -np.eye(K)),
+        ]
         costs, bounds = self._robust_columns(t)
-        u = n + costs.size - K
-        width = u + K + tail
-        A_ub = self._robust_rows(t, n, width, K, [(0, u + K, values), (0, u, -np.eye(K))])
-        costs = np.concatenate([costs, np.zeros(tail)])
-        return costs, A_ub, np.zeros(A_ub.shape[0]), bounds + [(0, None)] * tail
+        costs = np.concatenate([costs, np.zeros(K + tail)])
+        bounds = bounds + [(None, None)] * K + [(0, None)] * tail
+        return costs, self._robust_rows(t, n, S + 2 * K, rows), S + 2 * K + K * K, bounds
 
 
 def dr_train(lattice, ambs, options=None) -> TrainReport:

@@ -100,19 +100,19 @@ def _check_size(lattice, root_stage, layouts) -> int:
 def _add_node(model, lattice, layouts, t, j, parent, root=False):
     """Add node ``(t, j)`` and its subtree; return the columns and weights of its cost.
 
-    ``layouts`` holds each internal stage's :class:`_NodeLayout`. ``parent``
-    is either the parent node's decision columns (an integer array) or a
-    fixed previous state folded into the rhs. The root's cost is its
+    ``layouts`` holds each internal stage's :class:`_NodeLayout`. The root's
+    ``parent`` is a fixed previous state, folded into the rhs; any other
+    node's is its parent node's decision columns. The root's cost is its
     objective; any other node's cost enters its parent's rows ``cost - eta_k
     - Delta_{k,j} <= 0``, as its column z or, at a leaf, as its priced
     decision columns.
     """
     r = lattice.stage(t)[j]
     x = model.add_variables(r.num_vars, obj=r.c if root else 0.0, lb=0.0)
-    if isinstance(parent, np.ndarray) and parent.dtype.kind == "i":
-        model.add_equality(np.concatenate([x, parent]), np.hstack([r.A, r.E]), r.b)
-    else:
+    if root:
         model.add_equality(x, r.A, r.b - r.E @ parent)
+    else:
+        model.add_equality(np.concatenate([x, parent]), np.hstack([r.A, r.E]), r.b)
     if t == lattice.horizon:
         return x, r.c
     lay = layouts[t]

@@ -8,8 +8,8 @@ that takes rows alone or in blocks (a dense matrix over a set of columns),
 keeps only their nonzeros and assembles CSR matrices once, in ``arrays``.
 ``LpModel.solve`` and ``solve_arrays`` return primal values, the objective,
 and duals for both row families; ``block_matrix`` assembles the matrices of
-array LPs from blocks, and ``fan_out`` spreads independent solves over up to
-two usable CPUs. Duals follow the sensitivity convention for a minimization
+array LPs, such as block-diagonal ones, from blocks. Every solve runs on the
+calling thread. Duals follow the sensitivity convention for a minimization
 problem: the dual of a row is d(objective)/d(rhs). The backend
 is HiGHS: through scipy.optimize.linprog, or, for ``ResolvableLp``, one model
 kept alive in scipy's private HiGHS class and re-solved warm (feature-detected,
@@ -18,10 +18,7 @@ with ``solve_arrays`` as its fallback); callers never touch the backend.
 
 from __future__ import annotations
 
-import itertools
-import os
 import tempfile
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -110,57 +107,6 @@ def solve_arrays(
     eq_duals = np.asarray(res.eqlin.marginals) if A_eq is not None else None
     ub_duals = np.asarray(res.ineqlin.marginals) if A_ub is not None else None
     return LpSolution("optimal", np.asarray(res.x), float(res.fun), eq_duals, ub_duals)
-
-
-def usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set where the OS
-    reports one (Linux), else every CPU (macOS, Windows)."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    if affinity is not None:
-        return len(affinity(0))
-    return os.cpu_count() or 1
-
-
-# the most CPUs one fan-out uses, counting the calling thread: the layout
-# measured (2 CPUs, one helper thread). Each more thread costs a HiGHS task
-# deque and a malloc arena (2-3 MB), and its speed-up is unmeasured.
-FAN_OUT_CPUS = 2
-
-
-def fan_out(fn, items) -> list:
-    """``[fn(item) for item in items]``, computed on up to ``FAN_OUT_CPUS``
-    usable CPUs.
-
-    The calling thread takes items too, so a call starts ``min(usable CPUs,
-    FAN_OUT_CPUS, len(items)) - 1`` threads and joins them before it returns;
-    with one CPU or one item no thread is started. ``fn`` must be safe to run
-    in threads; ``solve_arrays`` is, since each call has its own HiGHS
-    instance and HiGHS releases the GIL while it solves. Every item is
-    computed; if calls raise, the exception of the first such item is raised,
-    as the loop would raise it.
-    """
-    items = list(items)
-    results, errors, order = [None] * len(items), {}, itertools.count()
-
-    def work():
-        while (i := next(order)) < len(items):
-            try:
-                results[i] = fn(items[i])
-            except Exception as exc:  # raised by the calling thread, in item order
-                errors[i] = exc
-
-    extra = min(usable_cpus(), FAN_OUT_CPUS, len(items)) - 1
-    threads = [threading.Thread(target=work) for _ in range(extra)]
-    for th in threads:
-        th.start()
-    try:
-        work()
-    finally:
-        for th in threads:
-            th.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
 
 
 def _highs_class():

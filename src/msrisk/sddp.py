@@ -17,9 +17,8 @@ finitely many iterations when the forward pass enumerates all scenarios.
 
 Scenario subproblems inside one backward step are independent pure solves and
 cut appends happen per stage in fixed scenario order, so results never depend
-on execution schedule; a fixed seed reproduces runs bit-identically. The only
-LPs solved in parallel are a state's independent DR envelope LPs, each a cold
-solve of its own, whose values are collected in scenario order.
+on execution schedule; a fixed seed reproduces runs bit-identically. Every LP
+is solved on the calling thread.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from .lp import (
     RecourseError,
     ResolvableLp,
     block_matrix,
-    fan_out,
     saved_note,
     solve_arrays,
 )
@@ -264,18 +262,17 @@ class BoundIteration:
     * ``_risk_value(t, vals)``: the archived value from scenario upper values;
     * ``_envelope_block(t, n, values)``: where the envelope values go in a
       stage-t scenario's envelope LP (see ``_envelope_values``), as
-      ``(costs, A_ub, b_ub, bounds)`` with the costs and bounds of every
-      column after ``x``, the same for every scenario; a block without rows
-      (``A_ub`` None) lets the scenarios' LPs be solved as one;
+      ``(costs, rows, m_ub, bounds)`` with the costs and bounds of every
+      column after ``x`` and the ``(row, column, block)`` blocks of its
+      ``m_ub`` rows ``<= 0``, the same for every scenario;
     * ``_stage_pools(t)``: the cut pools of stage t.
 
     Each engine binds the three passes in its own class body, so one
     engine's passes can be wrapped (to profile them, say) apart from the other's.
-    The upper sweep makes one envelope call per visited state: MARSRM's K
-    scenario LPs go to the solver as one block-diagonal LP on the calling
-    thread, DR's (whose envelope block has rows) as K LPs solved side by side
-    on up to two usable CPUs. Stage LPs share the engine's one live model and
-    are solved one at a time.
+    The upper sweep makes one envelope call per visited state, which solves
+    the K scenario LPs as one block-diagonal LP in both engines. Stage LPs
+    share the engine's one live model. Everything runs on the calling thread,
+    one LP at a time.
     """
 
     def __init__(self, lattice: ScenarioLattice, options=None):
@@ -336,38 +333,40 @@ class BoundIteration:
         envelope value ``V[:, e] . lam_e + M . (yp_e + ym_e)`` prices the l1
         slack at ``M = penalty`` (scalar or per coordinate), which must
         dominate the future risk's Lipschitz modulus for the value to stay an
-        upper bound. ``_envelope_block`` says where the envelope values go.
+        upper bound. The l1 rows and slacks exist only for coordinates with
+        ``M > 0``: where the slack costs nothing, the row constrains nothing.
+        ``_envelope_block`` says where the envelope values go.
 
-        Only ``A``, ``c`` and the balance rhs differ between scenarios. When
-        the envelope block has no rows (MARSRM: the one envelope value is the
-        objective), the K scenario LPs share no row and are solved as one
-        block-diagonal LP, and scenario j's value is ``c_j . x_j`` over its
-        block. Otherwise (DR: rows bound the robust columns) each scenario's
-        LP is solved on its own, and ``fan_out`` spreads the K LPs over up to
-        two usable CPUs. Each is a cold ``solve_arrays`` call, so the values do
-        not depend on the thread that solved them. A failure raises the
-        ``RecourseError`` of the first failing scenario, whose LP alone is
-        saved.
+        Only ``A``, ``c`` and the balance rhs differ between scenarios, and
+        the K scenario LPs share no row, so they are solved as one
+        block-diagonal LP (the envelope block's rows repeated in every
+        scenario's block), and scenario j's value is ``c_j . x_j`` over its
+        block. If the block LP is not optimal, each scenario's LP is solved
+        on its own, in order, and the first failing one raises the
+        ``RecourseError``, with its LP alone saved.
         """
         reals = self.lattice.stage(t)
         K, n, m = len(reals), self.lattice.num_vars(t), reals[0].A.shape[0]
         X, V = archive
         V = np.reshape(V, (len(X), -1))
         P, E = V.shape
+        M = np.broadcast_to(penalty, (n,))
+        priced = np.flatnonzero(M > 0.0)  # the coordinates with l1 rows
+        q = priced.size
         # row e of values: V[:, e] over lam_e, the penalty over yp_e and over ym_e
-        lam, slack, diag = np.zeros((E, E, P)), np.zeros((E, E, n)), np.arange(E)
-        lam[diag, diag], slack[diag, diag] = V.T, penalty
+        lam, slack, diag = np.zeros((E, E, P)), np.zeros((E, E, q)), np.arange(E)
+        lam[diag, diag], slack[diag, diag] = V.T, M[priced]
         values = np.hstack([lam.reshape(E, -1), slack.reshape(E, -1), slack.reshape(E, -1)])
-        costs, A_ub, b_ub, bounds = self._envelope_block(t, n, values)
-        width, height = n + costs.size, m + E * n + E
-        lam0, I = width - values.shape[1], np.eye(n)
+        costs, ub_rows, m_ub, bounds = self._envelope_block(t, n, values)
+        width, height = n + costs.size, m + E * q + E
+        lam0, Xq, I, Iq = width - values.shape[1], X[:, priced].T, np.eye(n)[priced], np.eye(q)
         # the blocks below the balance rows, the same in every scenario's LP
         tail = []
         for e in range(E):
-            row, col, yp = m + e * n, lam0 + e * P, lam0 + E * P + e * n
-            tail += [(row, 0, -I), (row, col, X.T), (row, yp, I), (row, yp + E * n, -I)]
-            tail.append((m + E * n + e, col, np.ones(P)))
-        b_tail = np.concatenate([np.zeros(E * n), np.ones(E)])
+            row, col, yp = m + e * q, lam0 + e * P, lam0 + E * P + e * q
+            tail += [(row, 0, -I), (row, col, Xq), (row, yp, Iq), (row, yp + E * q, -Iq)]
+            tail.append((m + E * q + e, col, np.ones(P)))
+        b_tail = np.concatenate([np.zeros(E * q), np.ones(E)])
         bounds = [(0, None)] * n + bounds
 
         def solve(js):
@@ -380,6 +379,13 @@ class BoundIteration:
                     for r0, c0, block in [(0, 0, reals[j].A), *tail]
                 ],
             )
+            A_ub = b_ub = None
+            if m_ub:  # the envelope block's rows, repeated in every scenario's block
+                A_ub = block_matrix(
+                    (G * m_ub, G * width),
+                    [(i * m_ub + r0, i * width + c0, b) for i in range(G) for r0, c0, b in ub_rows],
+                )
+                b_ub = np.zeros(G * m_ub)
             c = np.concatenate([np.concatenate([reals[j].c, costs]) for j in js])
             b_eq = np.concatenate(
                 [np.concatenate([reals[j].b - reals[j].E @ x_prev, b_tail]) for j in js]
@@ -387,24 +393,19 @@ class BoundIteration:
             arrays = dict(A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub, bounds=bounds * G)
             return c, solve_arrays(c, **arrays), arrays
 
-        groups = [range(K)] if A_ub is None else [[j] for j in range(K)]
-        solved = fan_out(solve, groups)
-        if len(groups) < K and not solved[0][1].is_optimal:
-            # the block failed: one LP per scenario, so the error names the first that fails
-            groups = [[j] for j in range(K)]
-            solved = fan_out(solve, groups)
+        c, sol, _ = solve(range(K))
+        if sol.is_optimal:
+            return np.array([cj @ xj for cj, xj in zip(np.split(c, K), np.split(sol.x, K))])
+        # one LP per scenario, so the error names the first that fails
         values = []
-        for js, (c, sol, arrays) in zip(groups, solved):
+        for j in range(K):
+            c, sol, arrays = solve([j])
             if not sol.is_optimal:
                 note = saved_note(ResolvableLp(c, **arrays))
                 raise RecourseError(
-                    f"stage {t}, scenario {js[0]}: upper envelope LP is {sol.status}{note}"
+                    f"stage {t}, scenario {j}: upper envelope LP is {sol.status}{note}"
                 )
-            G = len(js)
-            if G == 1:
-                values.append(float(sol.objective))
-            else:
-                values += [float(cj @ xj) for cj, xj in zip(np.split(c, G), np.split(sol.x, G))]
+            values.append(sol.objective)
         return np.array(values)
 
     # -- penalty selection -----------------------------------------------------
@@ -596,7 +597,7 @@ class MarsrmSddp(BoundIteration):
     def _envelope_block(self, t, n, values):
         """The one envelope value is the objective; no risk columns or rows."""
         (cost,) = values
-        return cost, None, None, [(0, None)] * cost.size
+        return cost, [], 0, [(0, None)] * cost.size
 
 
 def train(lattice, prefs=None, weights=None, options=None) -> TrainReport:

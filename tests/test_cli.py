@@ -146,7 +146,22 @@ def test_missing_config_is_usage_error(capsys):
 
 @pytest.mark.parametrize(
     "doc, reason",
-    [({"horizon": 2, "sedd": 3}, "unknown config keys: 'sedd'"), ([1, 2], "not list")],
+    [
+        ({"horizon": 2, "sedd": 3}, "unknown config keys: 'sedd'"),
+        ([1, 2], "not list"),
+        # a wrong type or a missing key is named, not left to a traceback
+        ({"horizon": "2"}, "config key 'horizon' must be an integer, not '2'"),
+        ({"horizon": 2, "lognormal": 5}, "config key 'lognormal' must be an object, not 5"),
+        (
+            {"horizon": 2, "scenarios_per_stage": 3, "preference": 5},
+            "config key 'preference' must be an object, not 5",
+        ),
+        ({"lognormal": {"mu": 0.6, "sigmaa": 9}}, "unknown config keys: 'lognormal.sigmaa'"),
+        (
+            {"horizon": 2, "scenarios_per_stage": 3, "preference": {"kind": "preset"}},
+            "config key 'preference.name' is missing",
+        ),
+    ],
 )
 def test_malformed_config_is_usage_error(tmp_path, doc, reason, capsys):
     path = tmp_path / "bad.json"

@@ -1,16 +1,19 @@
 """The upper sweep's envelope LPs against per-scenario references.
 
 ``BoundIteration._envelope_values`` solves a stage's K scenario envelope LPs
-at one state as one block-diagonal LP when the envelope block adds no rows
-(MARSRM) and as K LPs side by side on up to two usable CPUs when it does (DR,
-whatever the next stage's scenario count). These tests check its values
-against the literal per-scenario LPs of ``references.envelope_subproblem``,
-that a failed block names the first failing scenario and saves its LP alone,
-that DR's bound columns do not depend on the CPU count, and that every
-archived value stays above the cut model at its state.
+at one state as one block-diagonal LP in both engines. It writes the l1 rows
+and slacks only for coordinates with a positive penalty, and DR's support rows
+read one level sum per CVaR level. These tests check its values against the
+literal per-scenario LPs of ``references.envelope_subproblem``, which keeps
+every row, also under a zero penalty and a penalty that is zero on a coupled
+coordinate; that a failed block names the first failing scenario and saves
+its LP alone; that a DR run starts no thread; and that every archived value
+stays above the cut model at its state.
 """
 
+import os
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -19,7 +22,6 @@ import msrisk.lp
 import msrisk.sddp
 from msrisk.lp import RecourseError, solve_arrays
 from references import envelope_subproblem
-from test_lp import counted_threads
 from test_live_lp import (
     bound_columns,
     costed_lattice,
@@ -51,14 +53,9 @@ def reference_values(eng, t, x_prev, archive, penalty):
     return np.array(values)
 
 
-@pytest.mark.parametrize("kind", ["marsrm", "dr"])
-@pytest.mark.parametrize(
-    "make_lattice", [lattice, priced_lattice, costed_lattice, narrowing_lattice]
-)
-def test_envelope_values_match_per_scenario_lps(kind, make_lattice, monkeypatch):
-    lat = make_lattice()
-    eng = engine(kind, lat)
-    eng.run()
+def check_envelope_values(eng, monkeypatch, penalty_at=None):
+    """Each envelope call of an upper sweep against the reference values; one
+    ``solve_arrays`` call per state. ``penalty_at(t)`` replaces the penalty."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -67,18 +64,54 @@ def test_envelope_values_match_per_scenario_lps(kind, make_lattice, monkeypatch)
 
     monkeypatch.setattr(msrisk.sddp, "solve_arrays", counted)
     checked = 0
-    for t in range(1, lat.horizon):
+    for t in range(1, eng.T):
         states, archive, penalty = envelope_calls(eng, t)
+        if penalty_at is not None:
+            penalty = penalty_at(t)
         for x_prev in states:
             calls.clear()
             got = eng._envelope_values(t, x_prev, archive, penalty)
-            # one LP for all scenarios with one envelope each, else one per scenario
-            assert len(calls) == (1 if kind == "marsrm" else lat.size(t))
+            assert len(calls) == 1  # one block-diagonal LP for all K scenarios
             ref = reference_values(eng, t, x_prev, archive, penalty)
             assert got.shape == ref.shape
             np.testing.assert_array_less(np.abs(got - ref), 1e-9 * np.maximum(1.0, np.abs(ref)))
             checked += 1
-    assert checked > lat.horizon
+    assert checked > eng.T
+
+
+@pytest.mark.parametrize("kind", ["marsrm", "dr"])
+@pytest.mark.parametrize(
+    "make_lattice", [lattice, priced_lattice, costed_lattice, narrowing_lattice]
+)
+def test_envelope_values_match_per_scenario_lps(kind, make_lattice, monkeypatch):
+    eng = engine(kind, make_lattice())
+    eng.run()
+    check_envelope_values(eng, monkeypatch)
+
+
+@pytest.mark.parametrize("kind", ["marsrm", "dr"])
+def test_envelope_values_under_a_zero_penalty(kind, monkeypatch):
+    # no coordinate is priced, so the envelope LPs have no l1 rows at all
+    eng = engine(kind, lattice(), lipschitz=0.0)
+    eng.run()
+    assert not any(np.any(eng._penalty(t)) for t in range(1, eng.T))
+    check_envelope_values(eng, monkeypatch)
+
+
+@pytest.mark.parametrize("kind", ["marsrm", "dr"])
+def test_envelope_values_with_an_unpriced_coupled_coordinate(kind, monkeypatch):
+    # the reference keeps that coordinate's l1 row, whose free slack makes it void
+    eng = engine(kind, lattice())
+    eng.run()
+
+    def penalty_at(t):
+        penalty = eng._penalty(t).copy()
+        coupled = np.flatnonzero(eng._coupled_columns(t))
+        assert coupled.size > 1 and np.all(penalty[coupled] > 0.0)
+        penalty[coupled[0]] = 0.0
+        return penalty
+
+    check_envelope_values(eng, monkeypatch, penalty_at)
 
 
 def infeasible_from_scenario(lat, t=2, count=1):
@@ -101,6 +134,19 @@ def infeasible_from_scenario(lat, t=2, count=1):
     raise AssertionError(f"no state found with scenario 0 feasible and {count} infeasible")
 
 
+def saved_shape(eng, kind, realization, x_prev, archive, penalty):
+    """Columns and rows of the engine's LP for one scenario, from the reference:
+    without the l1 rows and slacks of unpriced coordinates, and with DR's K
+    level-sum rows and columns."""
+    robust = (eng.ambs[3], eng.weights[3]) if kind == "dr" else None
+    ref = envelope_subproblem(realization, x_prev, *archive, penalty, robust=robust)
+    E = 1 if kind == "marsrm" else eng.lattice.size(3)
+    unpriced = int(np.sum(np.broadcast_to(penalty, (realization.num_vars,)) == 0.0))
+    sums = 0 if kind == "marsrm" else eng.lattice.size(3)
+    assert unpriced > 0
+    return ref.num_variables - 2 * E * unpriced + sums, sum(ref.num_rows) - E * unpriced + sums
+
+
 @pytest.mark.parametrize("kind", ["marsrm", "dr"])
 def test_failed_envelope_names_the_first_failing_scenario(kind):
     # the failing scenario's LP is saved and reads back infeasible
@@ -119,10 +165,9 @@ def test_failed_envelope_names_the_first_failing_scenario(kind):
     with pytest.raises(RecourseError, match=message) as err:
         eng._envelope_values(2, x_prev, archive, penalty)
     h = read_saved(str(err.value))
-    robust = (eng.ambs[3], eng.weights[3]) if kind == "dr" else None
-    ref = envelope_subproblem(lat.stage(2)[first], x_prev, *archive, penalty, robust=robust)
-    assert h.getLp().num_col_ == ref.num_variables
-    assert h.getLp().num_row_ == sum(ref.num_rows)
+    columns, rows = saved_shape(eng, kind, lat.stage(2)[first], x_prev, archive, penalty)
+    assert h.getLp().num_col_ == columns
+    assert h.getLp().num_row_ == rows
     h.run()
     assert h.getModelStatus().name == "kInfeasible"
 
@@ -143,7 +188,7 @@ def test_failed_envelope_without_highs_writes_nothing(kind, monkeypatch, tmp_pat
 
 @pytest.mark.parametrize("kind", ["marsrm", "dr"])
 def test_several_failed_envelopes_save_only_the_first(kind, monkeypatch, tmp_path):
-    # scenarios 1 and 2 fail side by side; a loop would have stopped at 1
+    # two scenarios fail; the per-scenario walk stops at the first
     if msrisk.lp._HIGHS is None:
         pytest.skip("scipy ships no HiGHS bindings to write or read the model")
     lat = lattice()
@@ -151,35 +196,28 @@ def test_several_failed_envelopes_save_only_the_first(kind, monkeypatch, tmp_pat
     eng.run()
     x_prev, first = infeasible_from_scenario(lat, count=2)
     archive, penalty = eng._archive_arrays(2), eng._penalty(2)
-    monkeypatch.setattr(msrisk.lp, "usable_cpus", lambda: 4)
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     message = rf"^stage 2, scenario {first}: upper envelope LP is infeasible \(the LP is saved"
     with pytest.raises(RecourseError, match=message) as err:
         eng._envelope_values(2, x_prev, archive, penalty)
     assert len(list(tmp_path.glob("msrisk-lp-*.mps"))) == 1
     h = read_saved(str(err.value))
-    robust = (eng.ambs[3], eng.weights[3]) if kind == "dr" else None
-    ref = envelope_subproblem(lat.stage(2)[first], x_prev, *archive, penalty, robust=robust)
-    assert h.getLp().num_col_ == ref.num_variables
+    columns, _ = saved_shape(eng, kind, lat.stage(2)[first], x_prev, archive, penalty)
+    assert h.getLp().num_col_ == columns
     assert not any(tmp_path.iterdir())
 
 
-def hex_columns(report):
-    return [[float(v).hex() for v in col] for col in bound_columns(report)]
-
-
 @pytest.mark.parametrize("make_lattice", [lattice, narrowing_lattice])
-def test_dr_bound_columns_do_not_depend_on_the_cpu_count(make_lattice, monkeypatch):
-    lat = make_lattice()
-    started = counted_threads(monkeypatch)
-    columns = {}
-    for cpus in (1, 4):
-        started.clear()
-        monkeypatch.setattr(msrisk.lp, "usable_cpus", lambda: cpus)
-        columns[cpus] = hex_columns(engine("dr", lat, seed=5).run())
-        # one CPU: every LP on the calling thread; four: one helper per state
-        assert bool(started) == (cpus > 1)
-    assert columns[1] == columns[4]
+def test_dr_run_starts_no_thread(make_lattice, monkeypatch):
+    # even where the process may use four CPUs, every LP is solved on the calling thread
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda th: (started.append(th), start(th)))
+    report = engine("dr", make_lattice(), seed=5).run()
+    assert report.iterations == 4 and np.all(np.isfinite(bound_columns(report)[2]))
+    assert started == []
 
 
 @pytest.mark.parametrize("kind", ["marsrm", "dr"])
