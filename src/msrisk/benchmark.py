@@ -66,6 +66,19 @@ class _Section(dict):
     def __missing__(self, key):
         raise ValueError(f"config key '{self.name}.{key}' is missing")
 
+    def kind(self, default, keys):
+        """The section's ``kind`` (``default`` when unset); a ``ValueError``
+        names a kind not in ``keys`` or a key that ``keys[kind]`` does not list."""
+        kind = self.get("kind", default)
+        if not isinstance(kind, str) or kind not in keys:
+            raise ValueError(f"unknown {self.name} kind {kind!r}")
+        unknown = sorted(set(self) - {"kind", *keys[kind]})
+        if unknown:
+            names = ", ".join(repr(f"{self.name}.{key}") for key in unknown)
+            raise ValueError(f"unknown config keys: {names}")
+        return kind
+
+
 
 @dataclass
 class AssetInstanceConfig:
@@ -174,7 +187,10 @@ def config_spectrum_builder(cfg: AssetInstanceConfig):
 
 def _build_preferences(cfg: AssetInstanceConfig, rng: RngStream):
     spec = _Section("preference", cfg.preference or {"kind": "preset", "name": "risk_neutral"})
-    kind = spec.get("kind")
+    kind = spec.kind(None, {  # the keys each kind reads
+        "preset": ("name",), "dirac": ("lambda", "alpha"), "explicit": ("support", "probs"),
+        "voronoi": ("centers", "samples", "beta"),
+    })
     builder = config_spectrum_builder(cfg)
     stages = range(2, cfg.horizon + 1)
     if kind == "preset":
@@ -190,26 +206,27 @@ def _build_preferences(cfg: AssetInstanceConfig, rng: RngStream):
             spec["support"], spec.get("probs"), spectrum_builder=builder
         )
         return [pref for _ in stages]
-    if kind == "voronoi":
-        return [
-            build_preference_voronoi(
-                int(spec.get("centers", 10)),
-                int(spec.get("samples", 1000)),
-                tuple(spec.get("beta", (2.0, 2.0))),
-                rng,
-                stage=t,
-                spectrum_builder=builder,
-            )
-            for t in stages
-        ]
-    raise ValueError(f"unknown preference kind {kind!r}")
+    return [  # voronoi
+        build_preference_voronoi(
+            int(spec.get("centers", 10)),
+            int(spec.get("samples", 1000)),
+            tuple(spec.get("beta", (2.0, 2.0))),
+            rng,
+            stage=t,
+            spectrum_builder=builder,
+        )
+        for t in stages
+    ]
 
 
 def _build_ambiguities(cfg: AssetInstanceConfig, rng: RngStream):
     if cfg.ambiguity is None:
         return None
     spec = _Section("ambiguity", cfg.ambiguity)
-    kind = spec.get("kind", "sampled")
+    kind = spec.kind("sampled", {  # the keys each kind reads
+        "explicit": ("support", "mu", "sigma_matrix"), "empirical": ("support", "probs"),
+        "sampled": ("size",),
+    })
     builder = config_spectrum_builder(cfg)
     stages = range(2, cfg.horizon + 1)
     if kind == "explicit":
@@ -227,22 +244,18 @@ def _build_ambiguities(cfg: AssetInstanceConfig, rng: RngStream):
             spec["support"], spec["probs"], spectrum_builder=builder
         )
         return [amb for _ in stages]
-    if kind == "sampled":
-        sizes = np.broadcast_to(
-            np.asarray(spec.get("size", 10), dtype=int), (cfg.horizon - 1,)
-        )
-        out = []
-        for t, size in zip(stages, sizes):
-            size = int(size)
-            gen = rng.generator("ambiguity", stage=t)
-            pts = gen.uniform(size=(size, 2))
-            out.append(
-                MomentAmbiguitySet.from_empirical(
-                    pts, np.full(size, 1.0 / size), spectrum_builder=builder
-                )
+    sizes = np.broadcast_to(np.asarray(spec.get("size", 10), dtype=int), (cfg.horizon - 1,))
+    out = []  # sampled
+    for t, size in zip(stages, sizes):
+        size = int(size)
+        gen = rng.generator("ambiguity", stage=t)
+        pts = gen.uniform(size=(size, 2))
+        out.append(
+            MomentAmbiguitySet.from_empirical(
+                pts, np.full(size, 1.0 / size), spectrum_builder=builder
             )
-        return out
-    raise ValueError(f"unknown ambiguity kind {kind!r}")
+        )
+    return out
 
 
 def build_asset_instance(cfg: AssetInstanceConfig) -> AssetInstance:

@@ -5,7 +5,8 @@ weights matching a given mean and covariance on a finite support. Strong
 duality turns the inner sup into a small set of dual variables and support
 rows, the moment-dual block, which :func:`moment_dual_block` builds once per
 stage. ``DrSddp`` plugs that block into the shared bound iteration of
-:mod:`msrisk.sddp` as its stage risk block, with one cut pool per scenario
+:mod:`msrisk.sddp` as its stage risk block, whose columns and rows its hooks
+add to the stage and envelope LPs' ``LpModel``, with one cut pool per scenario
 (the dual block couples scenarios inside each LP, so cuts must stay
 scenario-wise) and scenario-wise upper envelopes. Per-scenario solves within
 a backward step are independent; appends happen in fixed scenario order, so
@@ -23,7 +24,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .lp import LpError, block_matrix, solve_arrays
+from .lp import LpError, LpModel, solve_arrays
 from .risk import (
     EQUIPROBABLE_TOL,
     ArsrmWeights,
@@ -185,27 +186,25 @@ def resolve_ambiguities(lattice: ScenarioLattice, ambs) -> tuple[dict, dict]:
 class MomentDualBlock(NamedTuple):
     """Moment-dual block over the columns ``[zeta, eta (K), Delta (K*K)]``.
 
-    ``obj`` prices the columns; ``support`` has one ``<= 0`` row per support
-    point. ``level`` spans ``[eta, Delta]``: row ``k*K + j`` is
-    ``-eta_k - Delta_{k,j}``, bounded by minus the value of scenario j.
+    ``obj`` prices the columns and ``lb`` bounds them below (only ``Delta``
+    is nonnegative); ``support`` has one ``<= 0`` row per support point.
+    ``level`` spans ``[eta, Delta, u]``, with ``u_j`` the value of scenario
+    j: row ``k*K + j`` is ``u_j - eta_k - Delta_{k,j} <= 0``.
     """
 
     obj: np.ndarray
+    lb: np.ndarray
     support: np.ndarray
     level: np.ndarray
-
-    @property
-    def bounds(self) -> list:
-        n_delta = self.level.shape[0]
-        return [(None, None)] * (self.obj.size - n_delta) + [(0, None)] * n_delta
 
 
 @lru_cache(maxsize=8)  # shared by every stage with K scenarios
 def _level_rows(K: int) -> np.ndarray:
     rows = np.arange(K * K)
-    level = np.zeros((K * K, K + K * K))
+    level = np.zeros((K * K, K + K * K + K))
     level[rows, rows // K] = -1.0  # eta_k
     level[rows, K + rows] = -1.0  # Delta_{k,j}
+    level[rows, K + K * K + rows % K] = 1.0  # u_j
     level.setflags(write=False)
     return level
 
@@ -219,7 +218,8 @@ def moment_dual_block(amb: MomentAmbiguitySet, weights: ArsrmWeights) -> MomentD
     support = np.hstack(
         [-rows, weights.beta, np.repeat(weights.beta * caps / K, K, axis=1)]
     )
-    return MomentDualBlock(costs, support, _level_rows(K))
+    lb = np.r_[np.full(obj.size + K, -np.inf), np.zeros(K * K)]
+    return MomentDualBlock(costs, lb, support, _level_rows(K))
 
 
 def worst_case_arsrm(values, probs, amb: MomentAmbiguitySet, weights: ArsrmWeights) -> float:
@@ -235,10 +235,11 @@ def worst_case_arsrm(values, probs, amb: MomentAmbiguitySet, weights: ArsrmWeigh
     if weights.K != K:
         raise ValueError("weights were built for a different scenario count")
     block = moment_dual_block(amb, weights)
-    zdim = block.obj.size - K - K * K
-    A_ub = np.vstack([block.support, np.hstack([np.zeros((K * K, zdim)), block.level])])
-    b_ub = np.concatenate([np.zeros(amb.size), -np.tile(v, K)])
-    sol = solve_arrays(block.obj, A_ub=A_ub, b_ub=b_ub, bounds=block.bounds)
+    model = LpModel()
+    y = model.add_variables(block.obj.size, obj=block.obj, lb=block.lb)
+    model.add_inequality(y, block.support, np.zeros(amb.size))
+    model.add_inequality(y[-K - K * K :], block.level[:, :-K], -np.tile(v, K))  # u = v
+    sol = solve_arrays(*model.arrays())
     if not sol.is_optimal:
         raise LpError(f"moment-dual LP is {sol.status}")
     return float(sol.objective)
@@ -285,40 +286,27 @@ class DrSddp(BoundIteration):
     def _stage_pools(self, t):
         return self.pools[t]
 
-    def _robust_rows(self, t, n, height, blocks):
-        """``<=`` row blocks of a stage-t robust LP over ``[x, zeta, eta, Delta, u, ...]``.
-
-        ``blocks`` fill the first ``height`` rows; the level rows follow,
-        whose ``u_j`` entries close each level against scenario j.
-        """
+    def _moment_columns(self, model, t):
+        """The risk-block columns ``y = [zeta, eta, Delta]`` and ``u``."""
         block = self._blocks[t + 1]
-        K = self.lattice.size(t + 1)
-        d = block.obj.size
-        u_cols = np.tile(np.eye(K), (K, 1))
-        return [*blocks, (height, n + d - K - K * K, block.level), (height, n + d, u_cols)]
+        y = model.add_variables(block.obj.size, obj=block.obj, lb=block.lb)
+        return y, model.add_variables(self.lattice.size(t + 1), lb=None)
 
-    def _robust_columns(self, t):
-        """Costs and bounds of the risk-block columns ``[zeta, eta, Delta, u]``."""
-        block = self._blocks[t + 1]
-        K = self.lattice.size(t + 1)
-        return np.concatenate([block.obj, np.zeros(K)]), block.bounds + [(None, None)] * K
+    def _close_levels(self, model, t, y, u):
+        """The level rows, whose ``u_j`` entries close each level against scenario j."""
+        K, level = u.size, self._blocks[t + 1].level
+        model.add_inequality(np.concatenate([y[-K - K * K :], u]), level, np.zeros(K * K))
 
-    def _risk_block(self, t):
-        block = self._blocks[t + 1]
-        n, d = self.lattice.num_vars(t), block.obj.size
-        pools = self.pools[t + 1]
-        K = len(pools)
-        mats = [p.matrices() for p in pools]
-        b_cuts = np.concatenate([-g for _, g in mats])
-        S = block.support.shape[0]
-        rows, row = [(0, n, block.support)], S
-        for j, (G, g) in enumerate(mats):
-            rows += [(row, 0, G), (row, n + d + j, -np.ones((g.size, 1)))]
-            row += g.size
-        b_ub = np.concatenate([np.zeros(S), b_cuts, np.zeros(K * K)])
-        costs, bounds = self._robust_columns(t)
-        A_ub = block_matrix((row + K * K, n + d + K), self._robust_rows(t, n, row, rows))
-        return costs, A_ub, b_ub, bounds
+    def _risk_block(self, model, t, x):
+        """The support rows, then per scenario j one row ``G_j x - u_j <= -g_j``
+        per cut, then the level rows."""
+        support = self._blocks[t + 1].support
+        y, u = self._moment_columns(model, t)
+        model.add_inequality(y, support, np.zeros(len(support)))
+        for j, pool in enumerate(self.pools[t + 1]):
+            G, g = pool.matrices()
+            model.add_inequality(np.append(x, u[j]), np.hstack([G, -np.ones((g.size, 1))]), -g)
+        self._close_levels(model, t, y, u)
 
     def _add_cuts(self, t, x_prev, vals, grads):
         """One cut per scenario, each into that scenario's pool."""
@@ -328,32 +316,30 @@ class DrSddp(BoundIteration):
     def _risk_value(self, t, vals):
         return vals
 
-    def _envelope_block(self, t, n, values):
+    def _envelope_block(self, model, t, values):
         """Each envelope value bounds ``u_e`` in one ``<=`` row, and the support
         rows read the level sums ``s_k``, with one row ``sum_j Delta_{k,j} -
-        s_k <= 0`` per level, after the ``u`` columns.
+        s_k <= 0`` per level; the columns are ``[zeta, eta, Delta, u, s]``,
+        then those ``values`` prices.
 
         A level's ``Delta`` columns share one support coefficient, so every
         K-th column of the block's support rows gives the ``s`` coefficients.
         The sums are exact whatever the signs: any slack in ``s_k`` can move
         into one ``Delta_{k,j}``, which only loosens its level row.
         """
-        block = self._blocks[t + 1]
+        support = self._blocks[t + 1].support
         K, tail = values.shape
-        S, d = block.support.shape
-        delta, s = n + d - K * K, n + d + K
-        rows = [
-            (0, n, block.support[:, : d - K * K]),
-            (0, s, block.support[:, d - K * K :: K]),
-            (S, delta, np.kron(np.eye(K), np.ones(K))),
-            (S, s, -np.eye(K)),
-            (S + K, s + K, values),
-            (S + K, s - K, -np.eye(K)),
-        ]
-        costs, bounds = self._robust_columns(t)
-        costs = np.concatenate([costs, np.zeros(K + tail)])
-        bounds = bounds + [(None, None)] * K + [(0, None)] * tail
-        return costs, self._robust_rows(t, n, S + 2 * K, rows), S + 2 * K + K * K, bounds
+        S, free = support.shape[0], support.shape[1] - K * K  # zeta and eta
+        y, u = self._moment_columns(model, t)
+        s = model.add_variables(K, lb=None)
+        w = model.add_variables(tail, lb=0.0)
+        sums = np.hstack([support[:, :free], support[:, free::K]])
+        model.add_inequality(np.concatenate([y[:free], s]), sums, np.zeros(S))
+        level_sums = np.hstack([np.kron(np.eye(K), np.ones(K)), -np.eye(K)])
+        model.add_inequality(np.concatenate([y[free:], s]), level_sums, np.zeros(K))
+        model.add_inequality(np.concatenate([w, u]), np.hstack([values, -np.eye(K)]), np.zeros(K))
+        self._close_levels(model, t, y, u)
+        return w
 
 
 def dr_train(lattice, ambs, options=None) -> TrainReport:

@@ -5,15 +5,16 @@
     min c'x   s.t.  A_eq x = b_eq,  A_ub x <= b_ub,  lb <= x <= ub,
 
 that takes rows alone or in blocks (a dense matrix over a set of columns),
-keeps only their nonzeros and assembles CSR matrices once, in ``arrays``.
-``LpModel.solve`` and ``solve_arrays`` return primal values, the objective,
-and duals for both row families; ``block_matrix`` assembles the matrices of
-array LPs, such as block-diagonal ones, from blocks. Every solve runs on the
-calling thread. Duals follow the sensitivity convention for a minimization
-problem: the dual of a row is d(objective)/d(rhs). The backend
-is HiGHS: through scipy.optimize.linprog, or, for ``ResolvableLp``, one model
-kept alive in scipy's private HiGHS class and re-solved warm (feature-detected,
-with ``solve_arrays`` as its fallback); callers never touch the backend.
+keeps only their nonzeros and assembles COO matrices once, in ``arrays``. It
+is the one way the library assembles LPs from parts: the engines' stage and
+envelope LPs, the moment-dual LP and the oracles' tree LPs. ``LpModel.solve``
+and ``solve_arrays`` return primal values, the objective, and duals for both
+row families. Every solve runs on the calling thread. Duals follow the
+sensitivity convention for a minimization problem: the dual of a row is
+d(objective)/d(rhs). The backend is HiGHS: through scipy.optimize.linprog,
+or, for ``ResolvableLp``, one model kept alive in scipy's private HiGHS class
+and re-solved warm (feature-detected, with ``solve_arrays`` as its fallback);
+callers never touch the backend.
 """
 
 from __future__ import annotations
@@ -49,31 +50,6 @@ class LpSolution:
 
 
 _STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
-# linprog takes small matrices faster dense; larger ones are mostly zeros
-_DENSE_MAX_CELLS = 10_000
-
-
-def block_matrix(shape, blocks):
-    """A ``shape`` matrix holding each ``(row0, col0, block)`` at its offset.
-
-    Up to ``_DENSE_MAX_CELLS`` cells it is a dense array; beyond, a COO matrix
-    of the blocks' nonzeros with 32-bit indices, as HiGHS takes them and as
-    scipy picks for dense input, so HiGHS receives the same model either way.
-    """
-    blocks = [(r0, c0, np.atleast_2d(block)) for r0, c0, block in blocks]
-    if shape[0] * shape[1] <= _DENSE_MAX_CELLS:
-        out = np.zeros(shape)
-        for r0, c0, block in blocks:
-            out[r0 : r0 + block.shape[0], c0 : c0 + block.shape[1]] = block
-        return out
-    rows, cols, vals = [], [], []
-    for r0, c0, block in blocks:
-        r, c = np.nonzero(block)
-        rows.append(r + r0)
-        cols.append(c + c0)
-        vals.append(block[r, c])
-    rows, cols = (np.concatenate(x).astype(np.int32) for x in (rows, cols))
-    return sparse.coo_array((np.concatenate(vals), (rows, cols)), shape=shape)
 
 
 def solve_arrays(
@@ -140,12 +116,13 @@ class ResolvableLp:
         self._args, self._highs = (c, A_eq, A_ub, b_ub, bounds), None
         if _HIGHS is None:
             return
-        blocks = [a for a in (A_ub, A_eq) if a is not None]
-        stack = sparse.vstack if any(sparse.issparse(a) for a in blocks) else np.vstack
-        A = sparse.csc_array(stack(blocks))
+        # [A_ub; A_eq] from COO triplets, as sparse.vstack of COO blocks is slower
+        up, eq = (sparse.coo_array(a if a is not None else (0, c.size)) for a in (A_ub, A_eq))
+        self._m_ub = m = up.shape[0]
+        rows, cols = np.r_[up.row, eq.row + m], np.r_[up.col, eq.col]
+        A = sparse.csc_array((np.r_[up.data, eq.data], (rows, cols)), shape=(m + len(b_eq), c.size))
         box = np.broadcast_to(np.array(bounds, dtype=float), (c.size, 2))  # None -> nan
         lb, ub = np.where(np.isnan(box), [-np.inf, np.inf], box).T
-        self._m_ub = A.shape[0] - len(b_eq)
         self._highs = _HIGHS()
         self._highs.setOptionValue("output_flag", False)
         self._highs.setOptionValue("simplex_strategy", 1)  # dual simplex, as in linprog
@@ -219,9 +196,10 @@ class LpModel:
     def add_variables(self, count, obj=0.0, lb=0.0, ub=None) -> np.ndarray:
         """``count`` new columns with one cost or one per column; a bound of
         ``None`` is no bound."""
-        bounds = (-np.inf if lb is None else lb, np.inf if ub is None else ub)
-        columns = [np.broadcast_to(v, count) for v in (obj, *bounds)]
-        self._columns.append(np.array(columns, dtype=float))
+        columns = np.empty((3, count))  # cost, lb, ub
+        columns[0], columns[1] = obj, -np.inf if lb is None else lb
+        columns[2] = np.inf if ub is None else ub
+        self._columns.append(columns)
         self.num_variables += count
         return np.arange(self.num_variables - count, self.num_variables)
 
@@ -251,9 +229,11 @@ class LpModel:
 
     # -- assembly and solve ---------------------------------------------------
     def arrays(self):
-        """``(c, A_eq, b_eq, A_ub, b_ub, bounds)`` as ``solve_arrays`` takes them:
-        CSR matrices (``None`` with their rhs for a family without rows) and one
-        ``(lb, ub)`` row per column, +-inf for none."""
+        """``(c, A_eq, b_eq, A_ub, b_ub, bounds)`` as ``solve_arrays`` and
+        ``ResolvableLp`` take them: COO matrices with 32-bit indices, as
+        linprog converts its input to and HiGHS takes them (``None`` with
+        their rhs for a family without rows), and one ``(lb, ub)`` row per
+        column, +-inf for none."""
         c, lb, ub = np.hstack(self._columns) if self._columns else np.empty((3, 0))
         return c, *self._matrix("eq"), *self._matrix("ub"), np.column_stack([lb, ub])
 
@@ -262,7 +242,8 @@ class LpModel:
             return None, None
         rows, cols, vals, rhs = (np.concatenate(x) for x in zip(*self._rows[family]))
         shape = (self._count[family], self.num_variables)
-        return sparse.coo_matrix((vals, (rows, cols)), shape=shape).tocsr(), rhs
+        rows, cols = rows.astype(np.int32), cols.astype(np.int32)
+        return sparse.coo_array((vals, (rows, cols)), shape=shape), rhs
 
     def solve(self) -> LpSolution:
         return solve_arrays(*self.arrays())

@@ -29,14 +29,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .lp import (
-    LpError,
-    RecourseError,
-    ResolvableLp,
-    block_matrix,
-    saved_note,
-    solve_arrays,
-)
+from .lp import LpError, LpModel, RecourseError, ResolvableLp, saved_note, solve_arrays
 from .risk import (
     ArsrmWeights,
     PreferenceDistribution,
@@ -255,24 +248,25 @@ def _dedupe(states: list[np.ndarray]) -> list[np.ndarray]:
 class BoundIteration:
     """The SDDP bound iteration; subclasses supply the stage risk block.
 
-    * ``_risk_block(t)``: ``(costs, A_ub over [x, block], b_ub, bounds)`` of
-      the block columns and rows in the stage-t lower LP;
+    * ``_risk_block(model, t, x)``: adds the risk columns and rows of the
+      stage-t lower LP to ``model``, after the decision columns ``x``;
     * ``_add_cuts(t, x_prev, vals, grads)``: cuts from the stage-t scenario
       values and gradients at ``x_prev``;
     * ``_risk_value(t, vals)``: the archived value from scenario upper values;
-    * ``_envelope_block(t, n, values)``: where the envelope values go in a
-      stage-t scenario's envelope LP (see ``_envelope_values``), as
-      ``(costs, rows, m_ub, bounds)`` with the costs and bounds of every
-      column after ``x`` and the ``(row, column, block)`` blocks of its
-      ``m_ub`` rows ``<= 0``, the same for every scenario;
+    * ``_envelope_block(model, t, values)``: adds the columns and ``<= 0``
+      rows of one stage-t scenario's envelope LP after its ``x`` (see
+      ``_envelope_values``), the same for every scenario, and returns the
+      columns ``[lam_e, yp_e, ym_e]`` that ``values`` prices;
     * ``_stage_pools(t)``: the cut pools of stage t.
 
     Each engine binds the three passes in its own class body, so one
     engine's passes can be wrapped (to profile them, say) apart from the other's.
-    The upper sweep makes one envelope call per visited state, which solves
-    the K scenario LPs as one block-diagonal LP in both engines. Stage LPs
-    share the engine's one live model. Everything runs on the calling thread,
-    one LP at a time.
+    ``BoundIteration`` builds every LP with ``LpModel``: it adds the
+    decision columns ``x`` and the balance rows, the hooks add the rest. The upper
+    sweep makes one envelope call per visited state, which solves the K
+    scenario LPs as one block-diagonal LP in both engines. Stage LPs share
+    the engine's one live model. Everything runs on the calling thread, one
+    LP at a time.
     """
 
     def __init__(self, lattice: ScenarioLattice, options=None):
@@ -301,14 +295,12 @@ class BoundIteration:
         key = (t, tuple(p.count for p in pools), r.A.tobytes(), r.c.tobytes())
         lp = self._live.get(key)
         if lp is None:
-            if t == self.T:
-                lp = ResolvableLp(r.c, r.A, rhs)
-            else:
-                c_y, A_ub, b_ub, bounds_y = self._risk_block(t)
-                c = np.concatenate([r.c, c_y])
-                A_eq = np.hstack([r.A, np.zeros((r.A.shape[0], c_y.size))])
-                bounds = [(0, None)] * n + bounds_y
-                lp = ResolvableLp(c, A_eq, rhs, A_ub=A_ub, b_ub=b_ub, bounds=bounds)
+            model = LpModel()
+            x = model.add_variables(n, obj=r.c, lb=0.0)
+            model.add_equality(x, r.A, rhs)
+            if t < self.T:
+                self._risk_block(model, t, x)
+            lp = ResolvableLp(*model.arrays())
             self._live = {key: lp}
         sol = lp.solve(rhs)
         if not sol.is_optimal:
@@ -339,14 +331,15 @@ class BoundIteration:
 
         Only ``A``, ``c`` and the balance rhs differ between scenarios, and
         the K scenario LPs share no row, so they are solved as one
-        block-diagonal LP (the envelope block's rows repeated in every
-        scenario's block), and scenario j's value is ``c_j . x_j`` over its
+        block-diagonal LP: each scenario's columns and rows are added in
+        turn, the l1 and ``sum(lam_e)`` rows as one block built once per
+        call, and scenario j's value is ``c_j . x_j`` over its contiguous
         block. If the block LP is not optimal, each scenario's LP is solved
         on its own, in order, and the first failing one raises the
         ``RecourseError``, with its LP alone saved.
         """
         reals = self.lattice.stage(t)
-        K, n, m = len(reals), self.lattice.num_vars(t), reals[0].A.shape[0]
+        K, n = len(reals), self.lattice.num_vars(t)
         X, V = archive
         V = np.reshape(V, (len(X), -1))
         P, E = V.shape
@@ -357,56 +350,38 @@ class BoundIteration:
         lam, slack, diag = np.zeros((E, E, P)), np.zeros((E, E, q)), np.arange(E)
         lam[diag, diag], slack[diag, diag] = V.T, M[priced]
         values = np.hstack([lam.reshape(E, -1), slack.reshape(E, -1), slack.reshape(E, -1)])
-        costs, ub_rows, m_ub, bounds = self._envelope_block(t, n, values)
-        width, height = n + costs.size, m + E * q + E
-        lam0, Xq, I, Iq = width - values.shape[1], X[:, priced].T, np.eye(n)[priced], np.eye(q)
-        # the blocks below the balance rows, the same in every scenario's LP
-        tail = []
-        for e in range(E):
-            row, col, yp = m + e * q, lam0 + e * P, lam0 + E * P + e * q
-            tail += [(row, 0, -I), (row, col, Xq), (row, yp, Iq), (row, yp + E * q, -Iq)]
-            tail.append((m + E * q + e, col, np.ones(P)))
-        b_tail = np.concatenate([np.zeros(E * q), np.ones(E)])
-        bounds = [(0, None)] * n + bounds
+        # one block of the l1 rows, then the sum(lam_e) rows, over [x[priced], lam, yp, ym]
+        Iq, Ieq, Ie = np.eye(q), np.eye(E * q), np.eye(E)
+        l1 = np.hstack([-np.tile(Iq, (E, 1)), np.kron(Ie, X[:, priced].T), Ieq, -Ieq])
+        sums = np.hstack([np.zeros((E, q)), np.kron(Ie, np.ones(P)), np.zeros((E, 2 * E * q))])
+        tail, b_tail = np.vstack([l1, sums]), np.r_[np.zeros(E * q), np.ones(E)]
 
-        def solve(js):
-            G = len(js)
-            A_eq = block_matrix(
-                (G * height, G * width),
-                [
-                    (i * height + r0, i * width + c0, block)
-                    for i, j in enumerate(js)
-                    for r0, c0, block in [(0, 0, reals[j].A), *tail]
-                ],
-            )
-            A_ub = b_ub = None
-            if m_ub:  # the envelope block's rows, repeated in every scenario's block
-                A_ub = block_matrix(
-                    (G * m_ub, G * width),
-                    [(i * m_ub + r0, i * width + c0, b) for i in range(G) for r0, c0, b in ub_rows],
-                )
-                b_ub = np.zeros(G * m_ub)
-            c = np.concatenate([np.concatenate([reals[j].c, costs]) for j in js])
-            b_eq = np.concatenate(
-                [np.concatenate([reals[j].b - reals[j].E @ x_prev, b_tail]) for j in js]
-            )
-            arrays = dict(A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub, bounds=bounds * G)
-            return c, solve_arrays(c, **arrays), arrays
+        def arrays(js):
+            model = LpModel()
+            for j in js:
+                r = reals[j]
+                x = model.add_variables(n, obj=r.c, lb=0.0)
+                model.add_equality(x, r.A, r.b - r.E @ x_prev)
+                w = self._envelope_block(model, t, values)
+                model.add_equality(np.concatenate([x[priced], w]), tail, b_tail)
+            return model.arrays()
 
-        c, sol, _ = solve(range(K))
+        block = arrays(range(K))
+        sol = solve_arrays(*block)
         if sol.is_optimal:
-            return np.array([cj @ xj for cj, xj in zip(np.split(c, K), np.split(sol.x, K))])
+            return np.array([c @ x for c, x in zip(np.split(block[0], K), np.split(sol.x, K))])
         # one LP per scenario, so the error names the first that fails
-        values = []
+        objectives = []
         for j in range(K):
-            c, sol, arrays = solve([j])
+            own = arrays([j])
+            sol = solve_arrays(*own)
             if not sol.is_optimal:
-                note = saved_note(ResolvableLp(c, **arrays))
+                note = saved_note(ResolvableLp(*own))
                 raise RecourseError(
                     f"stage {t}, scenario {j}: upper envelope LP is {sol.status}{note}"
                 )
-            values.append(sol.objective)
-        return np.array(values)
+            objectives.append(sol.objective)
+        return np.array(objectives)
 
     # -- penalty selection -----------------------------------------------------
     def _coupled_columns(self, t: int) -> np.ndarray:
@@ -578,10 +553,11 @@ class MarsrmSddp(BoundIteration):
     def _stage_pools(self, t):
         return [self.pools[t]]
 
-    def _risk_block(self, t):
+    def _risk_block(self, model, t, x):
+        """The epigraph column theta of the cuts, one row ``G x - theta <= -g`` per cut."""
         G, g = self.pools[t + 1].matrices()
-        A_ub = np.hstack([G, -np.ones((G.shape[0], 1))])
-        return np.ones(1), A_ub, -g, [(None, None)]
+        theta = model.add_variable(obj=1.0, lb=None)
+        model.add_inequality(np.append(x, theta), np.hstack([G, -np.ones((g.size, 1))]), -g)
 
     def _add_cuts(self, t, x_prev, vals, grads):
         """One aggregated cut: the gradients reweighted by the CVaR duals."""
@@ -594,10 +570,10 @@ class MarsrmSddp(BoundIteration):
     def _risk_value(self, t, vals):
         return self.weights[t].aggregate(vals)
 
-    def _envelope_block(self, t, n, values):
+    def _envelope_block(self, model, t, values):
         """The one envelope value is the objective; no risk columns or rows."""
         (cost,) = values
-        return cost, [], 0, [(0, None)] * cost.size
+        return model.add_variables(cost.size, obj=cost, lb=0.0)
 
 
 def train(lattice, prefs=None, weights=None, options=None) -> TrainReport:

@@ -1,10 +1,11 @@
 """LPs written out row by row, as references for the engines and oracles.
 
-The engines lay their stage LPs out as blocks on one live model, and their
-envelope LPs as blocks of one block-diagonal LP per state; these builders
-write the same LPs literally, one row per balance equation, cut, support
-point and envelope row, as ``LpModel``s the tests solve and compare. Like the
-extensive-form oracles, they share none of the engines' layout code. A
+The engines build their stage LPs with ``LpModel`` in row blocks, one block
+per kind of row, kept as one live model, and their envelope LPs the same
+way, as one block-diagonal LP per state; these builders write the same LPs
+literally, one row per balance equation, cut, support point and envelope
+row, as ``LpModel``s the tests solve and compare. Like the extensive-form
+oracles, they share none of the engines' hook code. A
 MARSRM reference with cuts has its epigraph column last.
 
 The extensive-form references write the oracles' tree LPs densely: every

@@ -161,6 +161,28 @@ def test_missing_config_is_usage_error(capsys):
             {"horizon": 2, "scenarios_per_stage": 3, "preference": {"kind": "preset"}},
             "config key 'preference.name' is missing",
         ),
+        # a misspelt key inside a preference or ambiguity kind is not ignored
+        (
+            {
+                "horizon": 2,
+                "scenarios_per_stage": 3,
+                "preference": {"kind": "preset", "name": "mild_averse", "centres": 4},
+                "ambiguity": {"kind": "sampled", "size": 3, "sise": 9},
+            },
+            "unknown config keys: 'preference.centres'",
+        ),
+        (
+            {"horizon": 2, "scenarios_per_stage": 3, "ambiguity": {"sise": 9, "size": 3}},
+            "unknown config keys: 'ambiguity.sise'",
+        ),
+        (
+            {"horizon": 2, "scenarios_per_stage": 3, "preference": {"kind": "voronoi", "k": 2}},
+            "unknown config keys: 'preference.k'",
+        ),
+        (
+            {"horizon": 2, "scenarios_per_stage": 3, "ambiguity": {"kind": "grid"}},
+            "unknown ambiguity kind 'grid'",
+        ),
     ],
 )
 def test_malformed_config_is_usage_error(tmp_path, doc, reason, capsys):

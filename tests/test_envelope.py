@@ -6,8 +6,9 @@ and slacks only for coordinates with a positive penalty, and DR's support rows
 read one level sum per CVaR level. These tests check its values against the
 literal per-scenario LPs of ``references.envelope_subproblem``, which keeps
 every row, also under a zero penalty and a penalty that is zero on a coupled
-coordinate; that a failed block names the first failing scenario and saves
-its LP alone; that a DR run starts no thread; and that every archived value
+coordinate; that block j of the block LP is scenario j's own LP, the one a
+failed block solves and saves, with nothing off the diagonal; that a failed
+block names the first failing scenario and saves its LP alone; that a DR run starts no thread; and that every archived value
 stays above the cut model at its state.
 """
 
@@ -20,7 +21,7 @@ import pytest
 
 import msrisk.lp
 import msrisk.sddp
-from msrisk.lp import RecourseError, solve_arrays
+from msrisk.lp import LpSolution, RecourseError, solve_arrays
 from references import envelope_subproblem
 from test_live_lp import (
     bound_columns,
@@ -112,6 +113,51 @@ def test_envelope_values_with_an_unpriced_coupled_coordinate(kind, monkeypatch):
         return penalty
 
     check_envelope_values(eng, monkeypatch, penalty_at)
+
+
+@pytest.mark.parametrize("kind", ["marsrm", "dr"])
+@pytest.mark.parametrize("make_lattice", [lattice, costed_lattice, narrowing_lattice])
+def test_block_lp_holds_each_scenarios_own_lp(kind, make_lattice, monkeypatch):
+    # the block LP is reported infeasible, so every scenario's own LP is solved too
+    eng = engine(kind, make_lattice())
+    eng.run()
+    calls = []
+
+    def block_fails(*arrays):
+        calls.append(arrays)
+        if len(calls) == 1:
+            return LpSolution("infeasible", None, None, None, None)
+        return solve_arrays(*arrays)
+
+    for t in range(1, eng.T):
+        states, archive, penalty = envelope_calls(eng, t)
+        want = eng._envelope_values(t, states[-1], archive, penalty)
+        calls.clear()
+        monkeypatch.setattr(msrisk.sddp, "solve_arrays", block_fails)
+        got = eng._envelope_values(t, states[-1], archive, penalty)
+        monkeypatch.setattr(msrisk.sddp, "solve_arrays", solve_arrays)
+        # the per-scenario values are the block LP's
+        np.testing.assert_array_less(np.abs(got - want), 1e-9 * np.maximum(1.0, np.abs(want)))
+        (c, A_eq, b_eq, A_ub, b_ub, bounds), *own = calls
+        K = len(own)
+        assert K == eng.lattice.size(t)
+        for whole, part in ((c, 0), (b_eq, 2), (b_ub, 4), (bounds, 5)):
+            if whole is None:
+                assert all(arrays[part] is None for arrays in own)
+            else:
+                np.testing.assert_array_equal(whole, np.concatenate([o[part] for o in own]))
+        for whole, part in ((A_eq, 1), (A_ub, 3)):
+            if whole is None:
+                assert kind == "marsrm" and all(arrays[part] is None for arrays in own)
+                continue
+            h, w = own[0][part].shape
+            blocks = whole.toarray().reshape(K, h, K, w)
+            for i, arrays in enumerate(own):
+                for k in range(K):
+                    if k == i:
+                        np.testing.assert_array_equal(blocks[i, :, k], arrays[part].toarray())
+                    else:
+                        assert not np.any(blocks[i, :, k])
 
 
 def infeasible_from_scenario(lat, t=2, count=1):

@@ -17,7 +17,7 @@ import pytest
 
 import msrisk.lp
 from msrisk.dr import DrSddp, MomentAmbiguitySet
-from msrisk.lp import LpError, RecourseError, solve_arrays
+from msrisk.lp import LpError, LpModel, RecourseError, solve_arrays
 from msrisk.scenario import (
     RngStream,
     ScenarioLattice,
@@ -79,18 +79,12 @@ def engine(kind, lat, rebuilt=False, **options):
 def rebuilt_stage(eng, t, j, x_prev):
     """The stage LP rebuilt and solved cold through ``solve_arrays``."""
     r = eng.lattice.stage(t)[j]
-    rhs = r.b - r.E @ x_prev
-    if t == eng.T:
-        return solve_arrays(r.c, A_eq=r.A, b_eq=rhs)
-    c_y, A_ub, b_ub, bounds_y = eng._risk_block(t)
-    return solve_arrays(
-        np.concatenate([r.c, c_y]),
-        A_eq=np.hstack([r.A, np.zeros((r.A.shape[0], c_y.size))]),
-        b_eq=rhs,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        bounds=[(0, None)] * r.num_vars + bounds_y,
-    )
+    model = LpModel()
+    x = model.add_variables(r.num_vars, obj=r.c, lb=0.0)
+    model.add_equality(x, r.A, r.b - r.E @ x_prev)
+    if t < eng.T:
+        eng._risk_block(model, t, x)
+    return solve_arrays(*model.arrays())
 
 
 class RebuildEachSolve:

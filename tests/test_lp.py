@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import msrisk.lp
-from msrisk.lp import LpModel, ResolvableLp, block_matrix, solve_arrays
+from msrisk.lp import LpModel, ResolvableLp, solve_arrays
 
 
 def test_equality_dual_sensitivity_convention():
@@ -55,6 +55,7 @@ def test_block_rows_match_rows_added_one_at_a_time():
             np.testing.assert_array_equal(a, b)
         else:
             assert a.nnz == np.count_nonzero(block) + 1
+            a, b = a.tocsr(), b.tocsr()
             for part in ("indptr", "indices", "data"):
                 np.testing.assert_array_equal(getattr(a, part), getattr(b, part))
     assert blocked.num_rows == rowwise.num_rows == (5, 5)
@@ -158,21 +159,22 @@ def test_duality_gap_and_residuals():
     assert abs(dual_obj - sol.objective) <= 1e-7 * max(1.0, abs(sol.objective))
 
 
-def test_block_matrix_dense_when_small_sparse_when_large(monkeypatch):
+def test_arrays_are_coo_with_int32_indices_and_no_stored_zeros():
     rng = np.random.default_rng(3)
-    blocks = [
-        (0, 0, rng.random((3, 4)) * (rng.random((3, 4)) < 0.5)),
-        (3, 2, -np.eye(5)),
-        (8, 1, np.ones(6)),
-        (1, 7, 2.5),
-    ]
-    small = block_matrix((9, 8), blocks)
-    assert isinstance(small, np.ndarray)
-    monkeypatch.setattr(msrisk.lp, "_DENSE_MAX_CELLS", 0)
-    large = block_matrix((9, 8), blocks)
-    assert large.format == "coo" and large.row.dtype == large.col.dtype == np.int32
-    np.testing.assert_array_equal(large.toarray(), small)
-    assert large.nnz == np.count_nonzero(small)  # no stored zeros
-    c, b = -rng.random(8), small @ np.full(8, 0.5)
-    dense, sparse = (solve_arrays(c, A_ub=A, b_ub=b, bounds=(0, 1)) for A in (small, large))
-    assert dense.objective < 0.0 and dense.objective == sparse.objective
+    dense = rng.random((9, 8)) * (rng.random((9, 8)) < 0.5)
+    dense[3:8, 2:7] -= np.eye(5)
+    dense[1, 7] = 2.5
+    c, b = -rng.random(8), dense @ np.full(8, 0.5)
+    model = LpModel()
+    x = model.add_variables(8, obj=c, lb=0.0, ub=1.0)
+    model.add_inequality(x, dense[:4], b[:4])
+    model.add_inequality(x, dense[4:], b[4:])
+    arrays = model.arrays()
+    A = arrays[3]
+    assert arrays[1] is None and arrays[2] is None  # no equality rows
+    assert A.format == "coo" and A.row.dtype == A.col.dtype == np.int32
+    np.testing.assert_array_equal(A.toarray(), dense)
+    assert A.nnz == np.count_nonzero(dense)  # no stored zeros
+    sparse_sol = solve_arrays(*arrays)
+    dense_sol = solve_arrays(c, A_ub=dense, b_ub=b, bounds=(0, 1))
+    assert dense_sol.objective < 0.0 and dense_sol.objective == sparse_sol.objective
