@@ -41,7 +41,7 @@ print("2. Worst case vs empirical member, and strong duality")
 print("=" * 72)
 values = rng.normal(size=5)
 w = amb.stage_weights(5)
-dual = worst_case_arsrm(values, None, amb, w)
+dual = worst_case_arsrm(values, amb, w)
 primal = worst_case_arsrm_primal(values, amb, w)
 member_pref = PreferenceDistribution.from_points(support, q_emp)
 from msrisk import DiscreteDistribution, arsrm_via_combination

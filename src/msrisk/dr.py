@@ -26,11 +26,9 @@ import numpy as np
 
 from .lp import LpError, LpModel, solve_arrays
 from .risk import (
-    EQUIPROBABLE_TOL,
     ArsrmWeights,
     PreferenceDistribution,
     StepSpectrum,
-    UnsupportedConfigurationError,
     arsrm_weights,
     combination_spectrum,
 )
@@ -156,16 +154,6 @@ class MomentAmbiguitySet:
         return arsrm_weights(K, pref)
 
 
-def _check_equiprobable(probs, K):
-    if probs is None:
-        return
-    p = np.asarray(probs, dtype=float)
-    if p.size != K or np.max(np.abs(p - 1.0 / K)) > EQUIPROBABLE_TOL:
-        raise UnsupportedConfigurationError(
-            "the robust combination requires equiprobable scenarios"
-        )
-
-
 def resolve_ambiguities(lattice: ScenarioLattice, ambs) -> tuple[dict, dict]:
     """Ambiguity sets and their CVaR-combination weights, per stage ``2..T``.
 
@@ -187,14 +175,18 @@ class MomentDualBlock(NamedTuple):
     """Moment-dual block over the columns ``[zeta, eta (K), Delta (K*K)]``.
 
     ``obj`` prices the columns and ``lb`` bounds them below (only ``Delta``
-    is nonnegative); ``support`` has one ``<= 0`` row per support point.
-    ``level`` spans ``[eta, Delta, u]``, with ``u_j`` the value of scenario
-    j: row ``k*K + j`` is ``u_j - eta_k - Delta_{k,j} <= 0``.
+    is nonnegative); ``support`` has one ``<= 0`` row per support point, and
+    ``sums`` the same rows over ``[zeta, eta, s]`` with ``s_k = sum_j
+    Delta_{k,j}`` (a level's shortfalls share one coefficient), as the
+    envelope LPs and the oracle read them. ``level`` spans ``[eta, Delta,
+    u]``, with ``u_j`` the value of scenario j: row ``k*K + j`` is ``u_j -
+    eta_k - Delta_{k,j} <= 0``.
     """
 
     obj: np.ndarray
     lb: np.ndarray
     support: np.ndarray
+    sums: np.ndarray
     level: np.ndarray
 
 
@@ -214,15 +206,15 @@ def moment_dual_block(amb: MomentAmbiguitySet, weights: ArsrmWeights) -> MomentD
     rows, obj = amb.dual_coefficients()
     K = weights.K
     caps = 1.0 / (1.0 - weights.alpha_levels)
+    shortfall = weights.beta * caps / K  # one coefficient per level
     costs = np.concatenate([obj, np.zeros(K + K * K)])
-    support = np.hstack(
-        [-rows, weights.beta, np.repeat(weights.beta * caps / K, K, axis=1)]
-    )
+    support = np.hstack([-rows, weights.beta, np.repeat(shortfall, K, axis=1)])
+    sums = np.hstack([-rows, weights.beta, shortfall])
     lb = np.r_[np.full(obj.size + K, -np.inf), np.zeros(K * K)]
-    return MomentDualBlock(costs, lb, support, _level_rows(K))
+    return MomentDualBlock(costs, lb, support, sums, _level_rows(K))
 
 
-def worst_case_arsrm(values, probs, amb: MomentAmbiguitySet, weights: ArsrmWeights) -> float:
+def worst_case_arsrm(values, amb: MomentAmbiguitySet, weights: ArsrmWeights) -> float:
     """Worst-case combination ``sup_q sum_{l,k} q_l beta_{l,k} CVaR_{alpha_k}``.
 
     Solved through the moment-dual LP; by strong duality (the set is nonempty
@@ -231,7 +223,6 @@ def worst_case_arsrm(values, probs, amb: MomentAmbiguitySet, weights: ArsrmWeigh
     """
     v = np.asarray(values, dtype=float).ravel()
     K = v.size
-    _check_equiprobable(probs, K)
     if weights.K != K:
         raise ValueError("weights were built for a different scenario count")
     block = moment_dual_block(amb, weights)
@@ -318,22 +309,19 @@ class DrSddp(BoundIteration):
 
     def _envelope_block(self, model, t, values):
         """Each envelope value bounds ``u_e`` in one ``<=`` row, and the support
-        rows read the level sums ``s_k``, with one row ``sum_j Delta_{k,j} -
-        s_k <= 0`` per level; the columns are ``[zeta, eta, Delta, u, s]``,
-        then those ``values`` prices.
+        rows read the level sums ``s_k`` (the block's ``sums``), with one row
+        ``sum_j Delta_{k,j} - s_k <= 0`` per level; the columns are ``[zeta,
+        eta, Delta, u, s]``, then those ``values`` prices.
 
-        A level's ``Delta`` columns share one support coefficient, so every
-        K-th column of the block's support rows gives the ``s`` coefficients.
         The sums are exact whatever the signs: any slack in ``s_k`` can move
         into one ``Delta_{k,j}``, which only loosens its level row.
         """
-        support = self._blocks[t + 1].support
+        sums = self._blocks[t + 1].sums
         K, tail = values.shape
-        S, free = support.shape[0], support.shape[1] - K * K  # zeta and eta
+        S, free = sums.shape[0], sums.shape[1] - K  # zeta and eta
         y, u = self._moment_columns(model, t)
         s = model.add_variables(K, lb=None)
         w = model.add_variables(tail, lb=0.0)
-        sums = np.hstack([support[:, :free], support[:, free::K]])
         model.add_inequality(np.concatenate([y[:free], s]), sums, np.zeros(S))
         level_sums = np.hstack([np.kron(np.eye(K), np.ones(K)), -np.eye(K)])
         model.add_inequality(np.concatenate([y[free:], s]), level_sums, np.zeros(K))

@@ -15,7 +15,9 @@ its priced cost in one free column z, so its parent's link rows read z alone.
 The node layout (columns and row blocks) is built once per stage; each node
 adds its rows to ``LpModel`` one block per kind, and the size guard counts
 columns from the same layout, refusing trees above ``MAX_ORACLE_VARIABLES``
-variables. Intended as a ground-truth reference at desk scale.
+variables. Intended as a ground-truth reference at desk scale. The robust
+oracle reads the engine's :func:`msrisk.dr.moment_dual_block`; the independent
+reference for both is the dense tree LP of ``tests/references.py``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dr import resolve_ambiguities, worst_case_arsrm
+from .dr import moment_dual_block, resolve_ambiguities, worst_case_arsrm
 from .lp import LpError, LpModel, ResolvableLp, saved_note
 from .sddp import resolve_stage_weights
 
@@ -151,10 +153,10 @@ def _subtree_values(lattice, risk, t, x_prev) -> list:
     return [_solve_tree(lattice, risk, t, j, x_prev) for j in range(lattice.size(t))]
 
 
-def _marsrm_risk(lattice, prefs, weights) -> tuple[dict, dict]:
+def _marsrm_risk(lattice, prefs) -> tuple[dict, dict]:
     """Per stage, the combination's CVaR terms (eta and level-sum costs, no
     zeta or support rows), and the stage weights they come from."""
-    ws = resolve_stage_weights(lattice, prefs=prefs, weights=weights)
+    ws = resolve_stage_weights(lattice, prefs)
     risk = {}
     for t, w in ws.items():
         caps = 1.0 / (1.0 - w.alpha_levels)
@@ -163,25 +165,25 @@ def _marsrm_risk(lattice, prefs, weights) -> tuple[dict, dict]:
     return risk, ws
 
 
-def extensive_form_marsrm(lattice, prefs=None, weights=None) -> float:
+def extensive_form_marsrm(lattice, prefs) -> float:
     """Exact optimal value of the nested risk-averse multistage problem."""
-    risk, _ = _marsrm_risk(lattice, prefs, weights)
+    risk, _ = _marsrm_risk(lattice, prefs)
     return _solve_tree(lattice, risk, 1, 0, lattice.x0)
 
 
-def subtree_value(lattice, t, j, x_prev, prefs=None, weights=None) -> float:
+def subtree_value(lattice, t, j, x_prev, prefs) -> float:
     """Exact cost-to-go ``V_t(x_prev, xi_{t,j})`` of one scenario subtree."""
-    risk, _ = _marsrm_risk(lattice, prefs, weights)
+    risk, _ = _marsrm_risk(lattice, prefs)
     return _solve_tree(lattice, risk, t, j, x_prev)
 
 
-def cost_to_go_oracle(lattice, t, x_prev, prefs=None, weights=None) -> float:
+def cost_to_go_oracle(lattice, t, x_prev, prefs) -> float:
     """Aggregated future risk at ``x_prev``: the combination over stage-t values.
 
     This is the function the single-cut pools minorize, evaluated exactly by
     solving each scenario subtree and aggregating.
     """
-    risk, ws = _marsrm_risk(lattice, prefs, weights)
+    risk, ws = _marsrm_risk(lattice, prefs)
     return ws[t].aggregate(_subtree_values(lattice, risk, t, x_prev))
 
 
@@ -189,21 +191,14 @@ def cost_to_go_oracle(lattice, t, x_prev, prefs=None, weights=None) -> float:
 
 
 def _dr_risk(lattice, ambs) -> tuple[dict, dict, dict]:
-    """Per stage, the moment-dual block (zeta costs and one row per support
-    point), with the ambiguity sets and weights it comes from.
-
-    Built here from the ambiguity set, apart from :func:`dr.moment_dual_block`,
-    so the oracle stays an independent reference for the engine.
-    """
+    """Per stage, the engine's moment-dual block over ``[zeta, eta, s]`` (its
+    costs and ``sums`` rows), with the ambiguity sets and weights it comes
+    from; ``tests/references.py::dr_tree_risk`` is the independent reference."""
     amb_map, betas = resolve_ambiguities(lattice, ambs)
     risk = {}
     for t, amb in amb_map.items():
-        w, K = betas[t], lattice.size(t)
-        rows, obj = amb.dual_coefficients()
-        caps = 1.0 / (1.0 - w.alpha_levels)
-        costs = np.concatenate([obj, np.zeros(2 * K)])
-        support = np.hstack([-rows, w.beta, w.beta * caps / K])
-        risk[t] = (costs, support)
+        block = moment_dual_block(amb, betas[t])
+        risk[t] = (block.obj[: block.sums.shape[1]], block.sums)
     return risk, amb_map, betas
 
 
@@ -223,4 +218,4 @@ def dr_cost_to_go_oracle(lattice, t, x_prev, ambs) -> float:
     """Worst-case aggregated future risk at ``x_prev`` (robust counterpart)."""
     risk, amb_map, betas = _dr_risk(lattice, ambs)
     vals = _subtree_values(lattice, risk, t, x_prev)
-    return worst_case_arsrm(vals, None, amb_map[t], betas[t])
+    return worst_case_arsrm(vals, amb_map[t], betas[t])

@@ -36,13 +36,12 @@ class DiscreteDistribution:
     """A finitely supported real distribution, canonicalized for risk calculus.
 
     Outcomes are stored sorted nondecreasing (stable sort, so ties keep their
-    input order); ``order[i]`` is the input index of the i-th sorted atom.
-    ``probs`` must be nonnegative and sum to one within ``PROB_SUM_TOL``.
+    input order). ``probs`` must be nonnegative and sum to one within
+    ``PROB_SUM_TOL``.
     """
 
     outcomes: np.ndarray
     probs: np.ndarray
-    order: np.ndarray
 
     @classmethod
     def from_values(cls, outcomes, probs=None) -> "DiscreteDistribution":
@@ -63,9 +62,7 @@ class DiscreteDistribution:
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
         idx = np.argsort(out, kind="stable")
-        order = idx.copy()
-        order.setflags(write=False)
-        return cls(outcomes=_readonly(out[idx]), probs=_readonly(p[idx]), order=order)
+        return cls(outcomes=_readonly(out[idx]), probs=_readonly(p[idx]))
 
     @property
     def size(self) -> int:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -51,30 +51,15 @@ def _require_equiprobable_stages(lattice: ScenarioLattice, combination: str) -> 
             )
 
 
-def resolve_stage_weights(
-    lattice: ScenarioLattice,
-    prefs=None,
-    weights=None,
-) -> dict[int, ArsrmWeights]:
+def resolve_stage_weights(lattice: ScenarioLattice, prefs) -> dict[int, ArsrmWeights]:
     """Per-stage CVaR-combination weights for stages ``2..T``.
 
     ``prefs`` may be a single preference distribution (applied at every stage)
-    or a sequence with one entry per stage ``2..T``; ``weights`` may supply
-    ready-made :class:`ArsrmWeights` instead. The combination route requires
-    every stage to be equiprobable.
+    or a sequence with one entry per stage ``2..T``. The combination route
+    requires every stage to be equiprobable.
     """
     T = lattice.horizon
     _require_equiprobable_stages(lattice, "CVaR-combination reduction")
-    if weights is not None:
-        ws = list(weights) if isinstance(weights, (list, tuple)) else [weights] * (T - 1)
-        if len(ws) != T - 1:
-            raise ValueError(f"need weights for each of stages 2..{T}")
-        for t in range(2, T + 1):
-            if ws[t - 2].K != lattice.size(t):
-                raise ValueError(f"stage {t} weights built for wrong scenario count")
-        return {t: ws[t - 2] for t in range(2, T + 1)}
-    if prefs is None:
-        raise ValueError("either prefs or weights must be given")
     if isinstance(prefs, PreferenceDistribution):
         plist = [prefs] * (T - 1)
     else:
@@ -100,43 +85,37 @@ class Cut:
 
 
 class CutPool:
-    """Append-only pool of cuts for one stage, seeded with a floor cut.
-
-    The floor cut has zero gradient and intercept ``-big``, guaranteeing the
-    stage LPs stay bounded before any real cut exists.
+    """Append-only pool of cuts for one stage, held as the arrays ``G`` (one
+    gradient per row) and ``g`` (intercepts); ``add`` replaces both. Row 0 is
+    the floor cut, zero gradient and intercept ``-big``, which keeps the
+    stage LPs bounded before any real cut exists.
     """
 
     def __init__(self, state_dim: int, big: float):
-        self._cuts: list[Cut] = [Cut(-abs(big), np.zeros(state_dim))]
-        self._stack: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self.G = np.zeros((1, state_dim))
+        self.g = np.array([-abs(big)])
 
     def add(self, cut: Cut) -> None:
-        if cut.gradient.size != self._cuts[0].gradient.size:
+        if cut.gradient.size != self.G.shape[1]:
             raise ValueError("cut gradient has wrong dimension")
-        self._cuts.append(cut)
-        self._stack = None
+        self.G = np.vstack([self.G, cut.gradient])
+        self.g = np.append(self.g, cut.intercept)
 
     @property
     def cuts(self) -> list[Cut]:
-        return list(self._cuts)
+        return [Cut(b, a) for b, a in zip(self.g, self.G)]
 
     @property
     def count(self) -> int:
         """Number of real (non-floor) cuts."""
-        return len(self._cuts) - 1
+        return self.g.size - 1
 
     def matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._stack is None:
-            G = np.vstack([c.gradient for c in self._cuts])
-            g = np.array([c.intercept for c in self._cuts])
-            self._stack = (G, g)
-        return self._stack
+        return self.G, self.g
 
     def max_gradient_per_coordinate(self) -> np.ndarray:
-        G, _ = self.matrices()
-        if len(self._cuts) == 1:
-            return np.zeros(G.shape[1])
-        return np.max(np.abs(G[1:]), axis=0)
+        """The largest ``|gradient|`` per coordinate; the floor cut adds zeros."""
+        return np.max(np.abs(self.G), axis=0)
 
 
 LIPSCHITZ_SAFETY = 10.0
@@ -277,11 +256,9 @@ class BoundIteration:
         # archive[t]: visited x_t states with certified upper values of the
         # stage-(t+1) risk, keyed by state; revisits keep the lowest values
         self.archives = {t: {} for t in range(1, self.T)}
-        self._archive_cache = {}
         # every state the forward passes have produced, per stage; the final
         # refresh re-certifies all of them against the current deeper envelopes
         self.visited = {t: {} for t in range(1, self.T)}
-        self._coupling_masks = {}
         self._forward_rng = RngStream(self.options.seed).generator("forward")
         self._live = {}  # key -> ResolvableLp, for the last stage LP solved only
 
@@ -390,13 +367,8 @@ class BoundIteration:
         Columns that are zero in every next-stage coupling matrix provably
         cannot move the cost-to-go, so their envelope penalty is exactly zero.
         """
-        cached = self._coupling_masks
-        if t not in cached:
-            mask = np.zeros(self.lattice.num_vars(t), dtype=bool)
-            for r in self.lattice.stage(t + 1):
-                mask |= np.any(r.E != 0.0, axis=0)
-            cached[t] = mask.astype(float)
-        return cached[t]
+        read = [np.any(r.E != 0.0, axis=0) for r in self.lattice.stage(t + 1)]
+        return np.any(read, axis=0).astype(float)
 
     def _penalty(self, t: int) -> np.ndarray:
         opt = self.options
@@ -497,20 +469,13 @@ class BoundIteration:
                 return
             value = np.minimum(entry[1], value)
         self.archives[t][key] = (x, value)
-        self._archive_cache.pop(t, None)
 
     def _archive_arrays(self, t):
+        """The stage-t archive: its states ``X`` (one per row) and their values."""
         if not self.archives[t]:
             raise ValueError(f"stage {t} archive is empty")
-        cached = self._archive_cache.get(t)
-        if cached is None:
-            entries = list(self.archives[t].values())
-            cached = (
-                np.vstack([e[0] for e in entries]),
-                np.array([e[1] for e in entries]),
-            )
-            self._archive_cache[t] = cached
-        return cached
+        X, V = zip(*self.archives[t].values())
+        return np.vstack(X), np.array(V)
 
     # -- driver ---------------------------------------------------------------
     def run(self) -> TrainReport:
@@ -538,9 +503,9 @@ class BoundIteration:
 class MarsrmSddp(BoundIteration):
     """Single-cut MARSRM: one epigraph column over the aggregated cuts."""
 
-    def __init__(self, lattice: ScenarioLattice, prefs=None, weights=None, options=None):
+    def __init__(self, lattice: ScenarioLattice, prefs, options=None):
         super().__init__(lattice, options)
-        self.weights = resolve_stage_weights(lattice, prefs=prefs, weights=weights)
+        self.weights = resolve_stage_weights(lattice, prefs)
         big = self.options.big
         self.pools = {
             t: CutPool(lattice.num_vars(t - 1), big) for t in range(2, self.T + 1)
@@ -576,10 +541,10 @@ class MarsrmSddp(BoundIteration):
         return model.add_variables(cost.size, obj=cost, lb=0.0)
 
 
-def train(lattice, prefs=None, weights=None, options=None) -> TrainReport:
+def train(lattice, prefs, options=None) -> TrainReport:
     """Run the bound iteration until the gap closes or iterations run out.
 
     Nonconvergence within the iteration budget is reported through
     ``TrainReport.converged``, not raised.
     """
-    return MarsrmSddp(lattice, prefs=prefs, weights=weights, options=options).run()
+    return MarsrmSddp(lattice, prefs, options=options).run()

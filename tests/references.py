@@ -142,10 +142,10 @@ def envelope_subproblem(realization, x_prev, states, values, penalty, robust=Non
     return model
 
 
-def marsrm_tree_risk(lattice, prefs=None, weights=None):
+def marsrm_tree_risk(lattice, prefs):
     """Per stage, the MARSRM risk block: costs over ``[eta, Delta]``, no support rows."""
     risk = {}
-    for t, w in resolve_stage_weights(lattice, prefs=prefs, weights=weights).items():
+    for t, w in resolve_stage_weights(lattice, prefs).items():
         caps = 1.0 / (1.0 - w.alpha_levels)
         costs = np.concatenate([w.combined, np.repeat(w.combined * caps / w.K, w.K)])
         risk[t] = (costs, np.empty((0, costs.size)))

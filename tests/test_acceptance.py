@@ -180,7 +180,7 @@ def test_criterion_3_moment_duality():
         K = int(rng.integers(2, 7))
         values = rng.normal(size=K)
         w = amb.stage_weights(K)
-        dual = worst_case_arsrm(values, None, amb, w)
+        dual = worst_case_arsrm(values, amb, w)
         primal = worst_case_arsrm_primal(values, amb, w)
         assert abs(dual - primal) <= 1e-7
         worst = max(worst, abs(dual - primal))

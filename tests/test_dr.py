@@ -10,10 +10,12 @@ from msrisk.dr import (
     DrSddp,
     MomentAmbiguitySet,
     dr_train,
+    moment_dual_block,
     worst_case_arsrm,
     worst_case_arsrm_primal,
 )
 from msrisk.extensive import (
+    _dr_risk,
     dr_cost_to_go_oracle,
     dr_subtree_value,
     extensive_form_dr,
@@ -99,7 +101,7 @@ class TestWorstCase:
             lam, alpha = rng.uniform(0.05, 0.95), rng.uniform(0.0, 0.9)
             amb = MomentAmbiguitySet.from_empirical([(lam, alpha)], [1.0])
             w = amb.stage_weights(K)
-            got = worst_case_arsrm(values, None, amb, w)
+            got = worst_case_arsrm(values, amb, w)
             pref = PreferenceDistribution.dirac(lam, alpha)
             want = arsrm_via_combination(DiscreteDistribution.from_values(values), pref)
             assert abs(got - want) < 1e-7
@@ -111,7 +113,7 @@ class TestWorstCase:
         amb = MomentAmbiguitySet.from_empirical(support, q)
         values = np.array([1.0, -0.5, 2.0, 0.25])
         w = amb.stage_weights(4)
-        got = worst_case_arsrm(values, None, amb, w)
+        got = worst_case_arsrm(values, amb, w)
         pref = PreferenceDistribution.from_points(support, q)
         want = arsrm_via_combination(DiscreteDistribution.from_values(values), pref)
         assert abs(got - want) < 1e-7
@@ -122,7 +124,7 @@ class TestWorstCase:
             amb, support, q = random_amb(rng, int(rng.integers(2, 6)))
             K = int(rng.integers(2, 7))
             values = rng.normal(size=K)
-            got = worst_case_arsrm(values, None, amb, amb.stage_weights(K))
+            got = worst_case_arsrm(values, amb, amb.stage_weights(K))
             pref = PreferenceDistribution.from_points(support, q)
             member = arsrm_via_combination(
                 DiscreteDistribution.from_values(values), pref
@@ -146,7 +148,7 @@ class TestWorstCase:
             K = int(rng.integers(2, 7))
             values = rng.normal(size=K)
             w = amb.stage_weights(K)
-            dual = worst_case_arsrm(values, None, amb, w)
+            dual = worst_case_arsrm(values, amb, w)
             primal = worst_case_arsrm_primal(values, amb, w)
             assert abs(dual - primal) < 1e-7
             # outer enumeration over the vertices of the member polytope
@@ -177,6 +179,23 @@ def test_dual_coefficients_symmetric_parametrization():
     np.testing.assert_allclose(
         obj, [1.0, amb.mu[0], amb.mu[1], amb.Sigma[0, 0], amb.Sigma[0, 1], amb.Sigma[1, 1]]
     )
+
+
+@pytest.mark.parametrize("K", [2, 3, 5])
+def test_level_sum_rows_shared_by_engine_and_oracle(K):
+    # a level's shortfalls share one support coefficient, so the rows over
+    # [zeta, eta, s] are the support rows with every K-th shortfall column
+    rng = np.random.default_rng(40 + K)
+    amb, _, _ = random_amb(rng, int(rng.integers(2, 6)))
+    block = moment_dual_block(amb, amb.stage_weights(K))
+    free = block.support.shape[1] - K * K
+    want = np.hstack([block.support[:, :free], block.support[:, free::K]])
+    assert block.sums.shape == want.shape and block.sums.tobytes() == want.tobytes()
+    # the robust oracle reads the same block
+    risk, _, _ = _dr_risk(lattice(seed=K, T=2, K=K), amb)
+    costs, rows = risk[2]
+    assert costs.shape == (free + K,) and costs.tobytes() == block.obj[: free + K].tobytes()
+    assert rows.shape == block.sums.shape and rows.tobytes() == block.sums.tobytes()
 
 
 class TestDrStage:

@@ -237,7 +237,7 @@ def test_cost_to_go_oracles_resolve_the_stages_once(monkeypatch):
     ambiguities = counted(monkeypatch, "resolve_ambiguities")
     assert cost_to_go_oracle(lat, 2, x1, prefs=pref) == arsrm_weights(3, pref).aggregate(marsrm)
     assert len(weights) == 1
-    want = worst_case_arsrm(dr, None, amb, amb.stage_weights(3))
+    want = worst_case_arsrm(dr, amb, amb.stage_weights(3))
     assert dr_cost_to_go_oracle(lat, 2, x1, amb) == want
     assert len(ambiguities) == 1
 
@@ -307,7 +307,7 @@ def test_sparse_tree_lps_match_the_dense_reference(name):
         assert abs(value - sol.objective) <= 1e-9 * max(1.0, abs(sol.objective)), (t, j)
     # the whole trees, whose internal nodes below the root have z columns,
     # with fewer nonzeros
-    for risk, dense in ((_marsrm_risk(lat, prefs, None)[0], marsrm), (_dr_risk(lat, ambs)[0], dr)):
+    for risk, dense in ((_marsrm_risk(lat, prefs)[0], marsrm), (_dr_risk(lat, ambs)[0], dr)):
         sparse = nonzeros(sparse_model(lat, risk, 1, lat.x0))
         assert sparse < nonzeros(tree_model(lat, dense, 1, 0, lat.x0))
 
@@ -318,7 +318,7 @@ def test_check_size_counts_the_built_columns():
         inst = oracle_instance(name)
         lat = inst.lattice
         x1, _ = stage_states(lat)
-        marsrm = _marsrm_risk(lat, inst.preferences, None)[0]
+        marsrm = _marsrm_risk(lat, inst.preferences)[0]
         for risk in (marsrm, _dr_risk(lat, inst.ambiguities)[0]):
             layouts = _node_layouts(lat, risk)
             for t, x_prev in ((1, lat.x0), (2, x1)):

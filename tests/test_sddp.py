@@ -9,7 +9,6 @@ from msrisk.extensive import cost_to_go_oracle, extensive_form_marsrm, subtree_v
 from msrisk.risk import (
     DiscreteDistribution,
     UnsupportedConfigurationError,
-    arsrm_weights,
     cvar,
 )
 from msrisk.scenario import (
@@ -310,11 +309,26 @@ def test_cut_pool_floor_and_count():
     pool = CutPool(3, big=1e9)
     assert pool.count == 0
     assert pool.max_gradient_per_coordinate().tolist() == [0.0, 0.0, 0.0]
+    G0, g0 = pool.matrices()
     pool.add(Cut(1.0, np.array([1.0, -4.0, 2.0])))
     assert pool.count == 1
     assert pool.max_gradient_per_coordinate().tolist() == [1.0, 4.0, 2.0]
+    # arrays read before the add are left as they were
+    assert G0.tolist() == [[0.0, 0.0, 0.0]] and g0.tolist() == [-1e9]
     G, g = pool.matrices()
     assert G.shape == (2, 3) and g[0] == -1e9
+    assert G[-1].tolist() == [1.0, -4.0, 2.0] and g[-1] == 1.0
+    pool.add(Cut(-2.0, np.array([0.5, 0.0, -3.0])))
+    assert [c.intercept for c in pool.cuts] == [-1e9, 1.0, -2.0]
+    assert [c.gradient.tolist() for c in pool.cuts] == [
+        [0.0, 0.0, 0.0],
+        [1.0, -4.0, 2.0],
+        [0.5, 0.0, -3.0],
+    ]
+    # an all-negative gradient gives positive maxima, not the floor's zeros
+    negative = CutPool(2, big=1.0)
+    negative.add(Cut(0.0, np.array([-2.0, -0.5])))
+    assert negative.max_gradient_per_coordinate().tolist() == [2.0, 0.5]
     with pytest.raises(ValueError):
         pool.add(Cut(np.inf, np.zeros(3)))
 
@@ -329,6 +343,11 @@ def test_signed_zero_states_share_one_key():
     assert len(engine.archives[1]) == 1
     _, values = engine._archive_arrays(1)
     assert values.tolist() == [1.0]
+    # a later read shows a lowered value and a new state
+    engine._archive_store(1, a, 0.5)
+    engine._archive_store(1, np.array([1.0, 0.0]), 3.0)
+    states, values = engine._archive_arrays(1)
+    assert states.tolist() == [[0.0, 1.0], [1.0, 0.0]] and values.tolist() == [0.5, 3.0]
 
 
 @pytest.mark.parametrize(
@@ -363,15 +382,14 @@ class TestUnsupported:
 
     def test_non_equiprobable_stage_rejected_everywhere(self):
         lat = self.skewed_lattice()
-        weights = arsrm_weights(4, HALF_CVAR)
         x1 = np.array([0.5, 0.5])
         with pytest.raises(UnsupportedConfigurationError):
             MarsrmSddp(lat, prefs=HALF_CVAR)
         with pytest.raises(UnsupportedConfigurationError):
-            MarsrmSddp(lat, weights=weights)
+            train(lat, prefs=HALF_CVAR)
         with pytest.raises(UnsupportedConfigurationError):
-            extensive_form_marsrm(lat, weights=weights)
+            extensive_form_marsrm(lat, prefs=HALF_CVAR)
         with pytest.raises(UnsupportedConfigurationError):
-            subtree_value(lat, 2, 0, x1, weights=weights)
+            subtree_value(lat, 2, 0, x1, prefs=HALF_CVAR)
         with pytest.raises(UnsupportedConfigurationError):
-            cost_to_go_oracle(lat, 2, x1, weights=weights)
+            cost_to_go_oracle(lat, 2, x1, prefs=HALF_CVAR)
