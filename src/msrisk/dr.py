@@ -12,8 +12,9 @@ scenario-wise) and scenario-wise upper envelopes. Per-scenario solves within
 a backward step are independent; appends happen in fixed scenario order, so
 runs are schedule-independent and seed-reproducible. The K envelope LPs at one
 state share no row, so the upper sweep solves them as one block-diagonal LP
-(see ``BoundIteration._envelope_values``), whose support rows read level sums
-where the stage LPs read every shortfall column.
+(see ``BoundIteration._envelope_values``). The support rows of every robust LP
+(stage, envelope and ``worst_case_arsrm``) read the level sums, which keeps
+the stage LPs that the engine holds live small.
 """
 
 from __future__ import annotations
@@ -175,17 +176,15 @@ class MomentDualBlock(NamedTuple):
     """Moment-dual block over the columns ``[zeta, eta (K), Delta (K*K)]``.
 
     ``obj`` prices the columns and ``lb`` bounds them below (only ``Delta``
-    is nonnegative); ``support`` has one ``<= 0`` row per support point, and
-    ``sums`` the same rows over ``[zeta, eta, s]`` with ``s_k = sum_j
-    Delta_{k,j}`` (a level's shortfalls share one coefficient), as the
-    envelope LPs and the oracle read them. ``level`` spans ``[eta, Delta,
-    u]``, with ``u_j`` the value of scenario j: row ``k*K + j`` is ``u_j -
-    eta_k - Delta_{k,j} <= 0``.
+    is nonnegative); ``sums`` has one ``<= 0`` support row per support point
+    over ``[zeta, eta, s]``, with ``s_k = sum_j Delta_{k,j}`` (a level's
+    shortfalls share one coefficient; see ``support_rows``). ``level`` spans
+    ``[eta, Delta, u]``, with ``u_j`` the value of scenario j: row ``k*K +
+    j`` is ``u_j - eta_k - Delta_{k,j} <= 0``.
     """
 
     obj: np.ndarray
     lb: np.ndarray
-    support: np.ndarray
     sums: np.ndarray
     level: np.ndarray
 
@@ -208,10 +207,20 @@ def moment_dual_block(amb: MomentAmbiguitySet, weights: ArsrmWeights) -> MomentD
     caps = 1.0 / (1.0 - weights.alpha_levels)
     shortfall = weights.beta * caps / K  # one coefficient per level
     costs = np.concatenate([obj, np.zeros(K + K * K)])
-    support = np.hstack([-rows, weights.beta, np.repeat(shortfall, K, axis=1)])
     sums = np.hstack([-rows, weights.beta, shortfall])
     lb = np.r_[np.full(obj.size + K, -np.inf), np.zeros(K * K)]
-    return MomentDualBlock(costs, lb, support, sums, _level_rows(K))
+    return MomentDualBlock(costs, lb, sums, _level_rows(K))
+
+
+def support_rows(model, block: MomentDualBlock, y, K: int) -> None:
+    """Add the level sums ``s`` (K free columns), the rows ``sums`` over ``[zeta,
+    eta, s]`` and one row ``sum_j Delta_{k,j} - s_k <= 0`` per level, after the
+    block's columns ``y``. Exact whatever the signs: slack in ``s_k`` can move
+    into one ``Delta_{k,j}``, which only loosens its level row."""
+    s, free = model.add_variables(K, lb=None), y.size - K * K  # zeta and eta
+    model.add_inequality(np.concatenate([y[:free], s]), block.sums, np.zeros(len(block.sums)))
+    level_sums = np.hstack([np.kron(np.eye(K), np.ones(K)), -np.eye(K)])
+    model.add_inequality(np.concatenate([y[free:], s]), level_sums, np.zeros(K))
 
 
 def worst_case_arsrm(values, amb: MomentAmbiguitySet, weights: ArsrmWeights) -> float:
@@ -228,7 +237,7 @@ def worst_case_arsrm(values, amb: MomentAmbiguitySet, weights: ArsrmWeights) -> 
     block = moment_dual_block(amb, weights)
     model = LpModel()
     y = model.add_variables(block.obj.size, obj=block.obj, lb=block.lb)
-    model.add_inequality(y, block.support, np.zeros(amb.size))
+    support_rows(model, block, y, K)
     model.add_inequality(y[-K - K * K :], block.level[:, :-K], -np.tile(v, K))  # u = v
     sol = solve_arrays(*model.arrays())
     if not sol.is_optimal:
@@ -252,10 +261,11 @@ def worst_case_arsrm_primal(values, amb: MomentAmbiguitySet, weights: ArsrmWeigh
 class DrSddp(BoundIteration):
     """Multi-cut robust bound iteration over a scenario lattice.
 
-    The risk block has the columns ``[zeta, eta, Delta, u]``: the moment-dual
-    block plus ``u_j``, the epigraph of next-stage scenario j's cuts (which
-    equals writing each cut against every level row, with far fewer rows) in
-    the lower LP, and of scenario j's envelope in the envelope LP.
+    The risk block has the columns ``[zeta, eta, Delta, u, s]``: the
+    moment-dual block, ``u_j``, the epigraph of next-stage scenario j's cuts
+    (which equals writing each cut against every level row, with far fewer
+    rows) in the lower LP and of scenario j's envelope in the envelope LP,
+    and the level sums ``s`` that the support rows read.
     """
 
     def __init__(self, lattice: ScenarioLattice, ambs, options=None):
@@ -278,10 +288,13 @@ class DrSddp(BoundIteration):
         return self.pools[t]
 
     def _moment_columns(self, model, t):
-        """The risk-block columns ``y = [zeta, eta, Delta]`` and ``u``."""
-        block = self._blocks[t + 1]
+        """The risk-block columns ``y = [zeta, eta, Delta]``, ``u`` and the
+        level sums, with the support rows; returns ``y`` and ``u``."""
+        block, K = self._blocks[t + 1], self.lattice.size(t + 1)
         y = model.add_variables(block.obj.size, obj=block.obj, lb=block.lb)
-        return y, model.add_variables(self.lattice.size(t + 1), lb=None)
+        u = model.add_variables(K, lb=None)
+        support_rows(model, block, y, K)
+        return y, u
 
     def _close_levels(self, model, t, y, u):
         """The level rows, whose ``u_j`` entries close each level against scenario j."""
@@ -289,15 +302,11 @@ class DrSddp(BoundIteration):
         model.add_inequality(np.concatenate([y[-K - K * K :], u]), level, np.zeros(K * K))
 
     def _risk_block(self, model, t, x):
-        """The support rows, then per scenario j one row ``G_j x - u_j <= -g_j``
-        per cut, then the level rows."""
-        support = self._blocks[t + 1].support
+        """The support rows over the level sums, then the level rows; ``u_j``
+        is the epigraph column of scenario j's pool."""
         y, u = self._moment_columns(model, t)
-        model.add_inequality(y, support, np.zeros(len(support)))
-        for j, pool in enumerate(self.pools[t + 1]):
-            G, g = pool.matrices()
-            model.add_inequality(np.append(x, u[j]), np.hstack([G, -np.ones((g.size, 1))]), -g)
         self._close_levels(model, t, y, u)
+        return u
 
     def _add_cuts(self, t, x_prev, vals, grads):
         """One cut per scenario, each into that scenario's pool."""
@@ -308,23 +317,11 @@ class DrSddp(BoundIteration):
         return vals
 
     def _envelope_block(self, model, t, values):
-        """Each envelope value bounds ``u_e`` in one ``<=`` row, and the support
-        rows read the level sums ``s_k`` (the block's ``sums``), with one row
-        ``sum_j Delta_{k,j} - s_k <= 0`` per level; the columns are ``[zeta,
-        eta, Delta, u, s]``, then those ``values`` prices.
-
-        The sums are exact whatever the signs: any slack in ``s_k`` can move
-        into one ``Delta_{k,j}``, which only loosens its level row.
-        """
-        sums = self._blocks[t + 1].sums
+        """Each envelope value bounds ``u_e`` in one ``<=`` row; the columns
+        are ``[zeta, eta, Delta, u, s]``, then those ``values`` prices."""
         K, tail = values.shape
-        S, free = sums.shape[0], sums.shape[1] - K  # zeta and eta
         y, u = self._moment_columns(model, t)
-        s = model.add_variables(K, lb=None)
         w = model.add_variables(tail, lb=0.0)
-        model.add_inequality(np.concatenate([y[:free], s]), sums, np.zeros(S))
-        level_sums = np.hstack([np.kron(np.eye(K), np.ones(K)), -np.eye(K)])
-        model.add_inequality(np.concatenate([y[free:], s]), level_sums, np.zeros(K))
         model.add_inequality(np.concatenate([w, u]), np.hstack([values, -np.eye(K)]), np.zeros(K))
         self._close_levels(model, t, y, u)
         return w

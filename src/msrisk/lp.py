@@ -12,9 +12,9 @@ and ``solve_arrays`` return primal values, the objective, and duals for both
 row families. Every solve runs on the calling thread. Duals follow the
 sensitivity convention for a minimization problem: the dual of a row is
 d(objective)/d(rhs). The backend is HiGHS: through scipy.optimize.linprog,
-or, for ``ResolvableLp``, one model kept alive in scipy's private HiGHS class
-and re-solved warm (feature-detected, with ``solve_arrays`` as its fallback);
-callers never touch the backend.
+or, for ``ResolvableLp``, one model kept alive in scipy's private HiGHS class,
+re-solved warm and grown in place (feature-detected, with ``solve_arrays`` as
+its fallback); callers never touch the backend.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ def _highs_class():
         from scipy.optimize._highspy._core import _Highs
     except ImportError:
         return None
-    used = ("passModel", "setOptionValue", "changeRowBounds", "run", "clearSolver",
+    used = ("passModel", "setOptionValue", "changeRowBounds", "addRows", "run", "clearSolver",
             "getModelStatus", "getSolution", "getObjectiveValue", "writeModel")
     return _Highs if all(callable(getattr(_Highs, m, None)) for m in used) else None
 
@@ -109,16 +109,21 @@ class ResolvableLp:
     A_eq]``, CSC columns). ``solve(b_eq)`` changes only the equality-row
     bounds, so HiGHS starts from the previous basis and skips presolve;
     statuses and the cold presolve-off retry match ``solve_arrays``, which
-    does every solve when the HiGHS class is missing.
+    does every solve when the HiGHS class is missing. While HiGHS holds the
+    model (``grows``), ``add_inequalities`` appends ``<=`` rows after all
+    others and keeps the basis, so the balance rows' range is tracked and
+    ``ineq_duals`` holds every ``<=`` row in model order.
     """
 
     def __init__(self, c, A_eq, b_eq, A_ub=None, b_ub=None, bounds=(0, None)):
         self._args, self._highs = (c, A_eq, A_ub, b_ub, bounds), None
+        self.grows = _HIGHS is not None
         if _HIGHS is None:
             return
         # [A_ub; A_eq] from COO triplets, as sparse.vstack of COO blocks is slower
         up, eq = (sparse.coo_array(a if a is not None else (0, c.size)) for a in (A_ub, A_eq))
-        self._m_ub = m = up.shape[0]
+        m = up.shape[0]
+        self._eq = slice(m, m + len(b_eq))  # the balance rows
         rows, cols = np.r_[up.row, eq.row + m], np.r_[up.col, eq.col]
         A = sparse.csc_array((np.r_[up.data, eq.data], (rows, cols)), shape=(m + len(b_eq), c.size))
         box = np.broadcast_to(np.array(bounds, dtype=float), (c.size, 2))  # None -> nan
@@ -128,17 +133,25 @@ class ResolvableLp:
         self._highs.setOptionValue("simplex_strategy", 1)  # dual simplex, as in linprog
         self._highs.passModel(  # column-wise matrix, minimize, every column continuous
             A.shape[1], A.shape[0], A.nnz, 1, 1, 0.0, np.asarray(c, dtype=float), lb, ub,
-            np.concatenate([np.full(self._m_ub, -np.inf), b_eq]),
+            np.concatenate([np.full(m, -np.inf), b_eq]),
             np.concatenate([b_ub if A_ub is not None else [], b_eq]),
             A.indptr, A.indices, A.data, np.zeros(c.size, dtype=np.int32),
         )
+
+    def add_inequalities(self, indices, coefficients, rhs) -> None:
+        """Append ``<=`` rows, given as ``LpModel.add_inequality`` takes them;
+        zero coefficients are dropped. Only a model that ``grows``."""
+        coef = sparse.csr_array(np.atleast_2d(np.asarray(coefficients, dtype=float)))
+        rhs, idx = np.atleast_1d(np.asarray(rhs, dtype=float)), np.asarray(indices, dtype=np.int32)
+        self._highs.addRows(rhs.size, np.full(rhs.size, -np.inf), rhs, coef.nnz,
+                            coef.indptr[:-1].astype(np.int32), idx[coef.indices], coef.data)
 
     def solve(self, b_eq) -> LpSolution:
         c, A_eq, A_ub, b_ub, bounds = self._args
         h = self._highs
         if h is None:
             return solve_arrays(c, A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub, bounds=bounds)
-        for i, value in enumerate(b_eq, start=self._m_ub):
+        for i, value in enumerate(b_eq, start=self._eq.start):
             h.changeRowBounds(i, value, value)
         for presolve in ("on", "off"):  # as linprog, then solve_arrays' cold retry
             h.setOptionValue("presolve", presolve)
@@ -151,10 +164,10 @@ class ResolvableLp:
             raise LpError(f"LP solve failed: HiGHS status {h.getModelStatus().name}")
         if status != "optimal":
             return LpSolution(status, None, None, None, None)
-        sol, m = h.getSolution(), self._m_ub
+        sol, eq = h.getSolution(), self._eq
         x, duals = np.array(sol.col_value), np.array(sol.row_dual)
-        ub_duals = duals[:m] if A_ub is not None else None
-        return LpSolution("optimal", x, h.getObjectiveValue(), duals[m:], ub_duals)
+        ub_duals = np.delete(duals, eq) if duals.size > eq.stop - eq.start else None
+        return LpSolution("optimal", x, h.getObjectiveValue(), duals[eq], ub_duals)
 
     def write(self) -> Optional[str]:
         """Save the model as it stands to a new ``.mps`` file; its path, or None."""

@@ -217,6 +217,15 @@ def state_key(x) -> bytes:
     return (np.asarray(x, dtype=float) + 0.0).tobytes()
 
 
+def _cut_rows(add, x, pools, epis, since):
+    """Add each pool's cuts after its first ``since`` (-1: all, with the floor
+    cut) as rows ``G x - epi <= -g`` through ``add``, a model's row method."""
+    for pool, epi, done in zip(pools, epis, since):
+        G, g = pool.G[done + 1 :], pool.g[done + 1 :]
+        if g.size:
+            add(np.append(x, epi), np.hstack([G, -np.ones((g.size, 1))]), -g)
+
+
 def _dedupe(states: list[np.ndarray]) -> list[np.ndarray]:
     seen = {}
     for s in states:
@@ -228,7 +237,8 @@ class BoundIteration:
     """The SDDP bound iteration; subclasses supply the stage risk block.
 
     * ``_risk_block(model, t, x)``: adds the risk columns and rows of the
-      stage-t lower LP to ``model``, after the decision columns ``x``;
+      stage-t lower LP to ``model``, after the decision columns ``x``, and
+      returns each ``_stage_pools(t + 1)`` pool's epigraph column (``_cut_rows``);
     * ``_add_cuts(t, x_prev, vals, grads)``: cuts from the stage-t scenario
       values and gradients at ``x_prev``;
     * ``_risk_value(t, vals)``: the archived value from scenario upper values;
@@ -243,8 +253,10 @@ class BoundIteration:
     ``BoundIteration`` builds every LP with ``LpModel``: it adds the
     decision columns ``x`` and the balance rows, the hooks add the rest. The upper
     sweep makes one envelope call per visited state, which solves the K
-    scenario LPs as one block-diagonal LP in both engines. Stage LPs share
-    the engine's one live model. Everything runs on the calling thread, one
+    scenario LPs as one block-diagonal LP in both engines. Each stage keeps
+    one live model, re-solved warm per state and grown in place by its pools'
+    new cuts; it is rebuilt when the scenario's ``A`` or ``c`` change, or
+    when HiGHS cannot hold it. Everything runs on the calling thread, one
     LP at a time.
     """
 
@@ -260,25 +272,33 @@ class BoundIteration:
         # refresh re-certifies all of them against the current deeper envelopes
         self.visited = {t: {} for t in range(1, self.T)}
         self._forward_rng = RngStream(self.options.seed).generator("forward")
-        self._live = {}  # key -> ResolvableLp, for the last stage LP solved only
+        self._live = {}  # t -> (A and c, pool counts, epigraph columns, ResolvableLp)
 
     # -- stage solves --------------------------------------------------------
+    def _stage_model(self, t, r, rhs, pools):
+        """Scenario ``r``'s stage-t ``LpModel`` at the balance rhs, with the
+        cuts of ``pools`` (none at stage T), and their epigraph columns."""
+        model = LpModel()
+        x = model.add_variables(r.num_vars, obj=r.c, lb=0.0)
+        model.add_equality(x, r.A, rhs)
+        epis = self._risk_block(model, t, x) if pools else []
+        _cut_rows(model.add_inequality, x, pools, epis, [-1] * len(pools))
+        return model, epis
+
     def _solve_stage(self, t, j, x_prev, need_duals=False):
         r = self.lattice.stage(t)[j]
-        rhs = r.b - r.E @ x_prev
-        n = r.num_vars
-        # one live model per engine, kept while only the balance rhs changes
+        rhs, n = r.b - r.E @ x_prev, r.num_vars
+        # one live model per stage, grown in place as its pools gain cuts
         pools = self._stage_pools(t + 1) if t < self.T else []
-        key = (t, tuple(p.count for p in pools), r.A.tobytes(), r.c.tobytes())
-        lp = self._live.get(key)
-        if lp is None:
-            model = LpModel()
-            x = model.add_variables(n, obj=r.c, lb=0.0)
-            model.add_equality(x, r.A, rhs)
-            if t < self.T:
-                self._risk_block(model, t, x)
+        key, counts = (r.A.tobytes(), r.c.tobytes()), [p.count for p in pools]
+        held = self._live.get(t)
+        if held is None or held[0] != key or not (held[3].grows or held[1] == counts):
+            model, epis = self._stage_model(t, r, rhs, pools)
             lp = ResolvableLp(*model.arrays())
-            self._live = {key: lp}
+        else:
+            _, before, epis, lp = held
+            _cut_rows(lp.add_inequalities, np.arange(n), pools, epis, before)
+        self._live[t] = (key, counts, epis, lp)
         sol = lp.solve(rhs)
         if not sol.is_optimal:
             note = saved_note(lp)
@@ -519,10 +539,8 @@ class MarsrmSddp(BoundIteration):
         return [self.pools[t]]
 
     def _risk_block(self, model, t, x):
-        """The epigraph column theta of the cuts, one row ``G x - theta <= -g`` per cut."""
-        G, g = self.pools[t + 1].matrices()
-        theta = model.add_variable(obj=1.0, lb=None)
-        model.add_inequality(np.append(x, theta), np.hstack([G, -np.ones((g.size, 1))]), -g)
+        """One epigraph column theta over the cuts."""
+        return [model.add_variable(obj=1.0, lb=None)]
 
     def _add_cuts(self, t, x_prev, vals, grads):
         """One aggregated cut: the gradients reweighted by the CVaR duals."""

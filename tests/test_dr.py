@@ -29,7 +29,7 @@ from msrisk.risk import (
 )
 from msrisk.scenario import RngStream, ScenarioLattice, build_lognormal_lattice
 from msrisk.sddp import Cut, TrainOptions
-from references import dr_stage_subproblem
+from references import dr_stage_subproblem, dr_tree_risk
 
 
 def lattice(seed=0, T=2, assets=2, K=4, f=0.0):
@@ -184,15 +184,18 @@ def test_dual_coefficients_symmetric_parametrization():
 @pytest.mark.parametrize("K", [2, 3, 5])
 def test_level_sum_rows_shared_by_engine_and_oracle(K):
     # a level's shortfalls share one support coefficient, so the rows over
-    # [zeta, eta, s] are the support rows with every K-th shortfall column
+    # [zeta, eta, s] are the reference's Delta-form support rows with every
+    # K-th shortfall column
     rng = np.random.default_rng(40 + K)
     amb, _, _ = random_amb(rng, int(rng.integers(2, 6)))
     block = moment_dual_block(amb, amb.stage_weights(K))
-    free = block.support.shape[1] - K * K
-    want = np.hstack([block.support[:, :free], block.support[:, free::K]])
+    lat = lattice(seed=K, T=2, K=K)
+    _, support = dr_tree_risk(lat, amb)[2]
+    free = support.shape[1] - K * K
+    want = np.hstack([support[:, :free], support[:, free::K]])
     assert block.sums.shape == want.shape and block.sums.tobytes() == want.tobytes()
     # the robust oracle reads the same block
-    risk, _, _ = _dr_risk(lattice(seed=K, T=2, K=K), amb)
+    risk, _, _ = _dr_risk(lat, amb)
     costs, rows = risk[2]
     assert costs.shape == (free + K,) and costs.tobytes() == block.obj[: free + K].tobytes()
     assert rows.shape == block.sums.shape and rows.tobytes() == block.sums.tobytes()

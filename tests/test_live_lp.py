@@ -1,11 +1,13 @@
-"""The engines' live stage model against the rebuild-and-linprog route.
+"""The engines' live stage models against the rebuild-and-linprog route.
 
-``BoundIteration._solve_stage`` keeps one ``ResolvableLp`` alive per engine
-and re-solves it warm while only the balance rows' right-hand side changes.
-These tests check every such solve against a cold ``solve_arrays`` solve of
-the same LP, check that the fallback without HiGHS bindings reproduces the
-rebuild route bit for bit, that engines share no model state, and that a
-failed stage LP is saved where the error message says.
+``BoundIteration._solve_stage`` keeps one ``ResolvableLp`` alive per stage,
+re-solves it warm for each state and grows it in place by the cuts its pools
+gain, rebuilding it only when the scenario's ``A`` or ``c`` change. These
+tests check every such solve, and every grown model at random states, against
+a cold ``solve_arrays`` solve of the same LP, count the builds, check that the
+fallback without HiGHS bindings reproduces the rebuild route bit for bit,
+that engines share no model state, and that a failed stage LP is saved where
+the error message says.
 """
 
 import os
@@ -16,8 +18,9 @@ import numpy as np
 import pytest
 
 import msrisk.lp
+import msrisk.sddp
 from msrisk.dr import DrSddp, MomentAmbiguitySet
-from msrisk.lp import LpError, LpModel, RecourseError, solve_arrays
+from msrisk.lp import LpError, RecourseError, solve_arrays
 from msrisk.scenario import (
     RngStream,
     ScenarioLattice,
@@ -79,12 +82,22 @@ def engine(kind, lat, rebuilt=False, **options):
 def rebuilt_stage(eng, t, j, x_prev):
     """The stage LP rebuilt and solved cold through ``solve_arrays``."""
     r = eng.lattice.stage(t)[j]
-    model = LpModel()
-    x = model.add_variables(r.num_vars, obj=r.c, lb=0.0)
-    model.add_equality(x, r.A, r.b - r.E @ x_prev)
-    if t < eng.T:
-        eng._risk_block(model, t, x)
+    pools = eng._stage_pools(t + 1) if t < eng.T else []
+    model, _ = eng._stage_model(t, r, r.b - r.E @ x_prev, pools)
     return solve_arrays(*model.arrays())
+
+
+def count_builds(monkeypatch):
+    """The ``ResolvableLp`` models the engines build, in build order."""
+    built = []
+
+    class Counted(msrisk.sddp.ResolvableLp):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(msrisk.sddp, "ResolvableLp", Counted)
+    return built
 
 
 class RebuildEachSolve:
@@ -111,17 +124,15 @@ def bound_columns(report):
 
 @pytest.mark.parametrize("kind", ["marsrm", "dr"])
 @pytest.mark.parametrize("make_lattice", [lattice, priced_lattice, costed_lattice])
-def test_every_live_solve_matches_a_cold_rebuild(kind, make_lattice):
+def test_every_live_solve_matches_a_cold_rebuild(kind, make_lattice, monkeypatch):
+    built = count_builds(monkeypatch)
     lat = make_lattice()
     eng = engine(kind, lat)
     live_solve = eng._solve_stage
     rng = np.random.default_rng(5)
-    seen = {"warm": 0}
 
     def checked(t, j, x_prev, need_duals=False):
-        before = eng._live
         v, x, duals = live_solve(t, j, x_prev, need_duals=True)
-        seen["warm"] += eng._live is before
         ref = rebuilt_stage(eng, t, j, x_prev)
         assert abs(v - ref.objective) <= 1e-9 * max(1.0, abs(ref.objective))
         # the live duals give a cut: tight at x_prev, below the value elsewhere
@@ -135,22 +146,66 @@ def test_every_live_solve_matches_a_cold_rebuild(kind, make_lattice):
 
     eng._solve_stage = checked
     eng.run()
-    # scenarios that share A and c share one model, so many solves are warm
-    assert (seen["warm"] > 0) == (make_lattice is lattice)
+    if msrisk.lp._HIGHS is None:
+        return
+    # scenarios that share A and c share one model per stage, grown in place;
+    # scenarios that do not rebuild it at each change
+    if make_lattice is lattice:
+        assert len(built) <= lat.horizon
+    else:
+        assert len(built) > lat.horizon
 
 
 @pytest.mark.parametrize("kind", ["marsrm", "dr"])
-def test_a_new_cut_rebuilds_the_live_model(kind):
+def test_a_new_cut_grows_the_live_model(kind, monkeypatch):
+    built = count_builds(monkeypatch)
     lat = lattice()
     eng = engine(kind, lat)
     eng.run()
     x = np.array([0.6, 0.4])
     before, _, _ = eng._solve_stage(2, 0, x)
+    builds = len(built)
     for pool in eng._stage_pools(3):  # a cut far above the others
         pool.add(Cut(10.0, np.zeros(lat.num_vars(2))))
     after, _, _ = eng._solve_stage(2, 0, x)
     assert after > before + 1.0
     assert after == pytest.approx(rebuilt_stage(eng, 2, 0, x).objective, rel=1e-9)
+    assert len(built) == builds or msrisk.lp._HIGHS is None
+
+
+@pytest.mark.parametrize("kind", ["marsrm", "dr"])
+def test_a_grown_model_matches_a_cold_rebuild_at_random_states(kind, monkeypatch):
+    if msrisk.lp._HIGHS is None:
+        pytest.skip("scipy ships no HiGHS bindings to grow a model in place")
+    built = count_builds(monkeypatch)
+    lat = lattice()
+    eng = engine(kind, lat)
+    live_solve = eng._solve_stage
+    rng = np.random.default_rng(11)
+    grown = []
+
+    def checked(t, j, x_prev, need_duals=False):
+        held, builds = eng._live.get(t), len(built)
+        result = live_solve(t, j, x_prev, need_duals)
+        if held is None or len(built) > builds or eng._live[t][1] == held[1]:
+            return result
+        grown.append(t)
+        v0 = rebuilt_stage(eng, t, j, x_prev).objective
+        for _ in range(3):
+            y = x_prev * (1.0 + 0.2 * rng.uniform(-1.0, 1.0, x_prev.size))
+            v, _, duals = live_solve(t, j, y, need_duals=True)
+            assert len(built) == builds  # re-solved warm, not rebuilt
+            ref = rebuilt_stage(eng, t, j, y).objective
+            assert abs(v - ref) <= 1e-9 * max(1.0, abs(ref))
+            # the balance duals give a cut tight at y and below the value at x_prev
+            grad = -(duals @ lat.stage(t)[j].E)
+            assert v + grad @ (x_prev - y) <= v0 + 1e-7 * max(1.0, abs(v0))
+        return result
+
+    eng._solve_stage = checked
+    eng.run()
+    assert set(grown) == set(range(1, lat.horizon))
+    assert len(built) <= lat.horizon
 
 
 @pytest.mark.parametrize("kind", ["marsrm", "dr"])

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -178,3 +180,44 @@ def test_arrays_are_coo_with_int32_indices_and_no_stored_zeros():
     sparse_sol = solve_arrays(*arrays)
     dense_sol = solve_arrays(c, A_ub=dense, b_ub=b, bounds=(0, 1))
     assert dense_sol.objective < 0.0 and dense_sol.objective == sparse_sol.objective
+
+
+def test_rows_appended_to_a_live_model_match_the_stacked_arrays():
+    if msrisk.lp._HIGHS is None:
+        pytest.skip("scipy ships no HiGHS bindings to grow a model in place")
+    rng = np.random.default_rng(7)
+    n, m_eq = 7, 3
+    A, x_feas = rng.normal(size=(m_eq, n)), np.abs(rng.normal(size=n)) + 0.5
+    c, b = rng.normal(size=n), A @ x_feas
+    A_ub = np.abs(rng.normal(size=(2, n)))  # keeps the LP bounded
+    b_ub = A_ub @ x_feas + 1.0
+    live = ResolvableLp(c, A, b, A_ub=A_ub, b_ub=b_ub)
+    first = live.solve(b)
+    cols = np.array([5, 0, 3, 6])
+    block = rng.normal(size=(3, cols.size))
+    block[1, 2] = 0.0  # dropped, as LpModel drops it
+    rhs = block @ x_feas[cols] + 0.1
+    live.add_inequalities(cols, block, rhs)
+    live.add_inequalities(cols[:2], np.array([1.0, -1.0]), x_feas[5] - x_feas[0] + 0.1)
+    stacked = np.zeros((4, n))
+    stacked[:3, cols], stacked[3, cols[:2]] = block, [1.0, -1.0]
+    A_all, b_all = np.vstack([A_ub, stacked]), np.r_[b_ub, rhs, x_feas[5] - x_feas[0] + 0.1]
+    for shift in (0.0, 0.05, -0.05):
+        b_t = A @ (x_feas * (1.0 + shift))
+        sol, ref = live.solve(b_t), solve_arrays(c, A_eq=A, b_eq=b_t, A_ub=A_all, b_ub=b_all)
+        assert sol.is_optimal
+        assert abs(sol.objective - ref.objective) <= 1e-9 * max(1.0, abs(ref.objective))
+        np.testing.assert_allclose(sol.eq_duals, ref.eq_duals, rtol=1e-7, atol=1e-9)
+        np.testing.assert_allclose(sol.ineq_duals, ref.ineq_duals, rtol=1e-7, atol=1e-9)
+    grown = solve_arrays(c, A_eq=A, b_eq=b, A_ub=A_all, b_ub=b_all).objective
+    assert grown > first.objective + 1e-3  # the new rows bind
+    path = live.write()
+    try:
+        h = msrisk.lp._HIGHS()
+        h.setOptionValue("output_flag", False)
+        assert h.readModel(path).name == "kOk"
+    finally:
+        os.remove(path)
+    assert h.getLp().num_row_ == 2 + m_eq + 4
+    h.run()
+    assert abs(h.getObjectiveValue() - sol.objective) <= 1e-9 * max(1.0, abs(sol.objective))
