@@ -10,9 +10,10 @@ add to the stage and envelope LPs' ``LpModel``, with one cut pool per scenario
 (the dual block couples scenarios inside each LP, so cuts must stay
 scenario-wise) and scenario-wise upper envelopes. Per-scenario solves within
 a backward step are independent; appends happen in fixed scenario order, so
-runs are schedule-independent and seed-reproducible. The K envelope LPs at one
-state share no row, so the upper sweep solves them as one block-diagonal LP
-(see ``BoundIteration._envelope_values``). The support rows of every robust LP
+runs are schedule-independent and seed-reproducible. Below stage 1, where the
+next stage has more than one scenario, the upper sweep holds one live envelope
+model per scenario ``A`` and ``c`` and re-solves it warm at each state, as only
+the balance rhs changes (see ``BoundIteration._envelope_values``). The support rows of every robust LP
 (stage, envelope and ``worst_case_arsrm``) read the level sums, which keeps
 the stage LPs that the engine holds live small.
 """

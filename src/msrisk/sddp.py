@@ -110,9 +110,6 @@ class CutPool:
         """Number of real (non-floor) cuts."""
         return self.g.size - 1
 
-    def matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.G, self.g
-
     def max_gradient_per_coordinate(self) -> np.ndarray:
         """The largest ``|gradient|`` per coordinate; the floor cut adds zeros."""
         return np.max(np.abs(self.G), axis=0)
@@ -252,12 +249,14 @@ class BoundIteration:
     engine's passes can be wrapped (to profile them, say) apart from the other's.
     ``BoundIteration`` builds every LP with ``LpModel``: it adds the
     decision columns ``x`` and the balance rows, the hooks add the rest. The upper
-    sweep makes one envelope call per visited state, which solves the K
-    scenario LPs as one block-diagonal LP in both engines. Each stage keeps
-    one live model, re-solved warm per state and grown in place by its pools'
-    new cuts; it is rebuilt when the scenario's ``A`` or ``c`` change, or
-    when HiGHS cannot hold it. Everything runs on the calling thread, one
-    LP at a time.
+    sweep makes one envelope call per visited state. Where each scenario has
+    its own envelope columns (DR below stage 1), the call re-solves one live
+    model per scenario ``A`` and ``c``, warm, at each scenario's balance rhs;
+    otherwise it solves the K scenario LPs as one block-diagonal LP. Each
+    stage keeps one live model, re-solved warm per state and grown in place
+    by its pools' new cuts; it is rebuilt when the scenario's ``A`` or ``c``
+    change, or when HiGHS cannot hold it. Everything runs on the calling
+    thread, one LP at a time.
     """
 
     def __init__(self, lattice: ScenarioLattice, options=None):
@@ -273,6 +272,7 @@ class BoundIteration:
         self.visited = {t: {} for t in range(1, self.T)}
         self._forward_rng = RngStream(self.options.seed).generator("forward")
         self._live = {}  # t -> (A and c, pool counts, epigraph columns, ResolvableLp)
+        self._envelopes = {}  # (t, archive, penalty) -> {A and c: ResolvableLp}, one key
 
     # -- stage solves --------------------------------------------------------
     def _stage_model(self, t, r, rhs, pools):
@@ -326,14 +326,18 @@ class BoundIteration:
         ``M > 0``: where the slack costs nothing, the row constrains nothing.
         ``_envelope_block`` says where the envelope values go.
 
-        Only ``A``, ``c`` and the balance rhs differ between scenarios, and
-        the K scenario LPs share no row, so they are solved as one
-        block-diagonal LP: each scenario's columns and rows are added in
-        turn, the l1 and ``sum(lam_e)`` rows as one block built once per
-        call, and scenario j's value is ``c_j . x_j`` over its contiguous
-        block. If the block LP is not optimal, each scenario's LP is solved
-        on its own, in order, and the first failing one raises the
-        ``RecourseError``, with its LP alone saved.
+        Only ``A``, ``c`` and the balance rhs differ between scenarios, the K
+        scenario LPs share no row, and the l1 and ``sum(lam_e)`` rows are one
+        block built once per call. With scenario-wise envelopes (E > 1) below
+        stage 1, one live ``ResolvableLp`` per scenario ``A`` and ``c`` is
+        held for a whole stage of a sweep (while ``t``, the archive and the
+        penalty stand) and re-solved warm at each balance rhs; the first
+        scenario that is not optimal raises the ``RecourseError``, with its
+        model saved. Otherwise (E = 1, or the one stage-1 LP per sweep) the K
+        LPs are solved cold as one block-diagonal LP, and scenario j's value
+        is ``c_j . x_j`` over its block; if that LP is not optimal, each
+        scenario's LP is solved on its own, in order, and the first failing
+        one raises, with its LP alone saved.
         """
         reals = self.lattice.stage(t)
         K, n = len(reals), self.lattice.num_vars(t)
@@ -363,6 +367,24 @@ class BoundIteration:
                 model.add_equality(np.concatenate([x[priced], w]), tail, b_tail)
             return model.arrays()
 
+        if t > 1 and E > 1:  # live models, one per scenario A and c
+            key = (t, X.tobytes(), V.tobytes(), M.tobytes())
+            if key not in self._envelopes:
+                self._envelopes.clear()
+            held = self._envelopes.setdefault(key, {})
+            objectives = np.empty(K)
+            for j, r in enumerate(reals):
+                own = (r.A.tobytes(), r.c.tobytes())
+                if own not in held:
+                    held[own] = ResolvableLp(*arrays([j]))
+                lp = held[own]
+                sol = lp.solve(np.r_[r.b - r.E @ x_prev, b_tail])
+                if not sol.is_optimal:
+                    raise RecourseError(
+                        f"stage {t}, scenario {j}: upper envelope LP is {sol.status}{saved_note(lp)}"
+                    )
+                objectives[j] = sol.objective
+            return objectives
         block = arrays(range(K))
         sol = solve_arrays(*block)
         if sol.is_optimal:

@@ -25,6 +25,7 @@ from msrisk.dr import (
 )
 from msrisk.extensive import (
     cost_to_go_oracle,
+    dr_cost_to_go_oracle,
     extensive_form_dr,
     extensive_form_marsrm,
 )
@@ -386,4 +387,69 @@ def test_criterion_8_cut_validity_audit(marsrm_sweep):
     _passed(
         "criterion 8: every emitted cut stays below the oracle cost-to-go",
         f"{audited} cuts audited, worst margin {worst_margin:.2e}",
+    )
+
+
+def _audit_states(rng, archive, assets, count):
+    """``count`` stage-t states: half convex combinations of the stage-t
+    archive (its hull), half random holdings of the ``assets`` at a random
+    wealth (off it)."""
+    X, _ = archive
+    states = [rng.dirichlet(np.ones(len(X))) @ X for _ in range(count // 2)]
+    for _ in range(count - count // 2):
+        x = np.zeros(X.shape[1])
+        x[:assets] = rng.dirichlet(np.ones(assets)) * rng.uniform(0.5, 1.5)
+        states.append(x)
+    return states
+
+
+def _envelope_margins(engine, risk, oracle, t, states, penalty):
+    """The risk of the stage-(t+1) envelope values under ``penalty`` minus
+    the oracle cost-to-go, at stage-t states."""
+    archive = engine._archive_arrays(t + 1)
+    return np.array([
+        risk(t + 1, engine._envelope_values(t + 1, x, archive, penalty)) - oracle(t + 1, x)
+        for x in states
+    ])
+
+
+def test_upper_envelope_audit(marsrm_sweep):
+    # the envelope upper bound stays above the oracle cost-to-go at states on
+    # and off the archive hull, for the criterion-1 MARSRM runs and short DR
+    # runs; an undersized penalty (0.05) must be caught below it
+    runs, _ = marsrm_sweep
+    rng = np.random.default_rng(83)
+    audits = []
+    for lat, pref, engine, _, _ in runs:
+        audits.append((engine, engine._risk_value,
+                       lambda t, x, lat=lat, pref=pref: cost_to_go_oracle(lat, t, x, prefs=pref)))
+    for lat, _ in [inst for inst in small_instances() if inst[0].horizon == 3][:3]:
+        support = np.column_stack([rng.uniform(0.05, 0.95, 4), rng.uniform(0.05, 0.9, 4)])
+        amb = MomentAmbiguitySet.from_empirical(support, rng.dirichlet(np.ones(4) * 3))
+        engine = DrSddp(lat, amb, options=TrainOptions(max_iterations=4, full_enumeration=True))
+        engine.run()
+
+        def robust(t, vals, engine=engine):
+            return worst_case_arsrm(vals, engine.ambs[t], engine.weights[t])
+
+        audits.append((engine, robust,
+                       lambda t, x, lat=lat, amb=amb: dr_cost_to_go_oracle(lat, t, x, amb)))
+    worst, caught, audited = np.inf, {"marsrm": 0, "dr": 0}, 0
+    for engine, risk_value, oracle in audits:
+        kind = "dr" if isinstance(engine, DrSddp) else "marsrm"
+        for t in range(1, engine.T - 1):
+            states = _audit_states(rng, engine._archive_arrays(t), engine.lattice.num_vars(1), 20)
+            audit = (engine, risk_value, oracle, t, states)
+            margins = _envelope_margins(*audit, engine._penalty(t + 1))
+            worst = min(worst, float(np.min(margins)))
+            assert np.min(margins) >= -1e-7, (kind, t)
+            undersized = _envelope_margins(*audit, 0.05 * engine._coupled_columns(t + 1))
+            caught[kind] += int(np.sum(undersized < -1e-7))
+            audited += len(states)
+    assert audited >= 200
+    assert caught["marsrm"] > 0 and caught["dr"] > 0
+    _passed(
+        "upper-envelope audit: envelope bounds stay above the oracle cost-to-go",
+        f"{audited} states, worst margin {worst:.2e}, an undersized penalty caught "
+        f"{caught['marsrm']} (MARSRM) and {caught['dr']} (DR) below it",
     )

@@ -79,24 +79,28 @@ def engine(kind, lat, rebuilt=False, **options):
     return (RebuiltDr if rebuilt else DrSddp)(lat, ambiguity(), options=opts)
 
 
+STAGE_MODEL = msrisk.sddp.BoundIteration._stage_model  # never counted by count_builds
+
+
 def rebuilt_stage(eng, t, j, x_prev):
     """The stage LP rebuilt and solved cold through ``solve_arrays``."""
     r = eng.lattice.stage(t)[j]
     pools = eng._stage_pools(t + 1) if t < eng.T else []
-    model, _ = eng._stage_model(t, r, r.b - r.E @ x_prev, pools)
+    model, _ = STAGE_MODEL(eng, t, r, r.b - r.E @ x_prev, pools)
     return solve_arrays(*model.arrays())
 
 
 def count_builds(monkeypatch):
-    """The ``ResolvableLp`` models the engines build, in build order."""
+    """The stage models the engines build (``_stage_model`` calls), in build
+    order; envelope models and the references of ``rebuilt_stage`` are not
+    counted."""
     built = []
 
-    class Counted(msrisk.sddp.ResolvableLp):
-        def __init__(self, *args):
-            super().__init__(*args)
-            built.append(self)
+    def counted(eng, *args):
+        built.append(args[0])  # the stage
+        return STAGE_MODEL(eng, *args)
 
-    monkeypatch.setattr(msrisk.sddp, "ResolvableLp", Counted)
+    monkeypatch.setattr(msrisk.sddp.BoundIteration, "_stage_model", counted)
     return built
 
 
@@ -180,6 +184,12 @@ def test_a_grown_model_matches_a_cold_rebuild_at_random_states(kind, monkeypatch
     built = count_builds(monkeypatch)
     lat = lattice()
     eng = engine(kind, lat)
+    # each model is built again after its pools hold distinct real cuts, so
+    # that rows grown later land next to real rows: a cut grown on another
+    # scenario's epigraph column then changes the robust LP's value
+    eng.run()
+    eng._live.clear()
+    del built[:]
     live_solve = eng._solve_stage
     rng = np.random.default_rng(11)
     grown = []

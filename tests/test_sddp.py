@@ -309,13 +309,13 @@ def test_cut_pool_floor_and_count():
     pool = CutPool(3, big=1e9)
     assert pool.count == 0
     assert pool.max_gradient_per_coordinate().tolist() == [0.0, 0.0, 0.0]
-    G0, g0 = pool.matrices()
+    G0, g0 = pool.G, pool.g
     pool.add(Cut(1.0, np.array([1.0, -4.0, 2.0])))
     assert pool.count == 1
     assert pool.max_gradient_per_coordinate().tolist() == [1.0, 4.0, 2.0]
     # arrays read before the add are left as they were
     assert G0.tolist() == [[0.0, 0.0, 0.0]] and g0.tolist() == [-1e9]
-    G, g = pool.matrices()
+    G, g = pool.G, pool.g
     assert G.shape == (2, 3) and g[0] == -1e9
     assert G[-1].tolist() == [1.0, -4.0, 2.0] and g[-1] == 1.0
     pool.add(Cut(-2.0, np.array([0.5, 0.0, -3.0])))
