@@ -38,10 +38,10 @@ MODE_PRESETS = {
 }
 
 
-def _check_numbers(key, value, kinds, scalar=False) -> None:
+def _check_numbers(key, value, kinds, scalar=False, least=None) -> None:
     """Raise ``ValueError`` unless config ``value`` is a number of the numpy
-    ``kinds`` or, unless ``scalar``, nested lists of them; ``None`` passes
-    for the keys that default to it."""
+    ``kinds`` or, unless ``scalar``, nested lists of them, each at least
+    ``least`` if given; ``None`` passes for the keys that default to it."""
     if value is None and key in ("scenarios_per_stage", "spectrum_breakpoints"):
         return
     try:
@@ -51,6 +51,8 @@ def _check_numbers(key, value, kinds, scalar=False) -> None:
     if not ok:
         what = ("an integer" if kinds == "iu" else "a number") + ("" if scalar else " or a list")
         raise ValueError(f"config key {key!r} must be {what}, not {value!r}")
+    if least is not None and np.any(np.asarray(value) < least):
+        raise ValueError(f"config key {key!r} must be at least {least}, not {value!r}")
 
 
 class _Section(dict):
@@ -97,14 +99,11 @@ class AssetInstanceConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for key in ("horizon", "assets", "seed", "spectrum_breakpoints"):
-            _check_numbers(key, getattr(self, key), "iu", scalar=True)
+        for key, least in (("horizon", 2), ("assets", 1), ("seed", None),
+                           ("spectrum_breakpoints", None)):
+            _check_numbers(key, getattr(self, key), "iu", scalar=True, least=least)
         for key in ("scenarios_per_stage", "mu", "sigma", "corr", "transaction_cost"):
             _check_numbers(key, getattr(self, key), "iu" if key == "scenarios_per_stage" else "iuf")
-        if self.horizon < 2:
-            raise ValueError("horizon must be at least 2")
-        if self.assets < 1:
-            raise ValueError("need at least one asset")
         if self.scenarios_per_stage is None:
             if self.horizon not in PRESET_SCENARIO_COUNTS:
                 raise ValueError(
@@ -206,10 +205,12 @@ def _build_preferences(cfg: AssetInstanceConfig, rng: RngStream):
             spec["support"], spec.get("probs"), spectrum_builder=builder
         )
         return [pref for _ in stages]
-    return [  # voronoi
+    for key in ("centers", "samples"):  # voronoi; only a value set in the config can be wrong
+        _check_numbers(f"preference.{key}", spec.get(key, 1), "iu", scalar=True)
+    return [
         build_preference_voronoi(
-            int(spec.get("centers", 10)),
-            int(spec.get("samples", 1000)),
+            spec.get("centers", 10),
+            spec.get("samples", 1000),
             tuple(spec.get("beta", (2.0, 2.0))),
             rng,
             stage=t,
@@ -244,7 +245,8 @@ def _build_ambiguities(cfg: AssetInstanceConfig, rng: RngStream):
             spec["support"], spec["probs"], spectrum_builder=builder
         )
         return [amb for _ in stages]
-    sizes = np.broadcast_to(np.asarray(spec.get("size", 10), dtype=int), (cfg.horizon - 1,))
+    _check_numbers("ambiguity.size", spec.get("size", 10), "iu", least=1)
+    sizes = np.broadcast_to(spec.get("size", 10), (cfg.horizon - 1,))
     out = []  # sampled
     for t, size in zip(stages, sizes):
         size = int(size)

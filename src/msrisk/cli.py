@@ -138,11 +138,13 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    cfg = _load_config(args)
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
+    if not modes:
+        raise ValueError(f"--modes names no mode: {args.modes!r}")
     for m in modes:
         if m not in MODES:
             raise ValueError(f"unknown mode {m!r}")
+    cfg = _load_config(args)
     rows = compare_modes(cfg, modes, _options(args, cfg))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -11,11 +11,13 @@ add to the stage and envelope LPs' ``LpModel``, with one cut pool per scenario
 scenario-wise) and scenario-wise upper envelopes. Per-scenario solves within
 a backward step are independent; appends happen in fixed scenario order, so
 runs are schedule-independent and seed-reproducible. Below stage 1, where the
-next stage has more than one scenario, the upper sweep holds one live envelope
-model per scenario ``A`` and ``c`` and re-solves it warm at each state, as only
-the balance rhs changes (see ``BoundIteration._envelope_values``). The support rows of every robust LP
-(stage, envelope and ``worst_case_arsrm``) read the level sums, which keeps
-the stage LPs that the engine holds live small.
+next stage has more than one scenario, each stage's envelope call of the upper
+sweep builds one live envelope model per scenario ``A`` and ``c`` and
+re-solves it warm at each of the stage's states, as only the balance rhs
+changes (see ``BoundIteration._envelope_values``); the engine holds no
+envelope model between calls. The support rows of every robust LP (stage,
+envelope and ``worst_case_arsrm``) read the level sums, which keeps the stage
+LPs that the engine holds live small.
 """
 
 from __future__ import annotations

@@ -107,12 +107,13 @@ class ResolvableLp:
 
     Built from ``solve_arrays``'s arrays in linprog's layout (rows ``[A_ub;
     A_eq]``, CSC columns). ``solve(b_eq)`` changes only the equality-row
-    bounds, so HiGHS starts from the previous basis and skips presolve;
-    statuses and the cold presolve-off retry match ``solve_arrays``, which
-    does every solve when the HiGHS class is missing. While HiGHS holds the
-    model (``grows``), ``add_inequalities`` appends ``<=`` rows after all
-    others and keeps the basis, so the balance rows' range is tracked and
-    ``ineq_duals`` holds every ``<=`` row in model order.
+    bounds that differ from the last ones, so HiGHS starts from the previous
+    basis and skips presolve; statuses and the cold presolve-off retry match
+    ``solve_arrays``, which does every solve when the HiGHS class is
+    missing. While HiGHS holds the model (``grows``), ``add_inequalities``
+    appends ``<=`` rows after all others and keeps the basis, so the balance
+    rows' range is tracked and ``ineq_duals`` holds every ``<=`` row in model
+    order.
     """
 
     def __init__(self, c, A_eq, b_eq, A_ub=None, b_ub=None, bounds=(0, None)):
@@ -123,7 +124,7 @@ class ResolvableLp:
         # [A_ub; A_eq] from COO triplets, as sparse.vstack of COO blocks is slower
         up, eq = (sparse.coo_array(a if a is not None else (0, c.size)) for a in (A_ub, A_eq))
         m = up.shape[0]
-        self._eq = slice(m, m + len(b_eq))  # the balance rows
+        self._eq, self._b_eq = slice(m, m + len(b_eq)), np.asarray(b_eq, dtype=float)
         rows, cols = np.r_[up.row, eq.row + m], np.r_[up.col, eq.col]
         A = sparse.csc_array((np.r_[up.data, eq.data], (rows, cols)), shape=(m + len(b_eq), c.size))
         box = np.broadcast_to(np.array(bounds, dtype=float), (c.size, 2))  # None -> nan
@@ -151,8 +152,10 @@ class ResolvableLp:
         h = self._highs
         if h is None:
             return solve_arrays(c, A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub, bounds=bounds)
-        for i, value in enumerate(b_eq, start=self._eq.start):
-            h.changeRowBounds(i, value, value)
+        b_eq = np.asarray(b_eq, dtype=float)
+        for i in np.flatnonzero(b_eq != self._b_eq):  # HiGHS holds the last bounds
+            h.changeRowBounds(self._eq.start + int(i), b_eq[i], b_eq[i])
+        self._b_eq = b_eq
         for presolve in ("on", "off"):  # as linprog, then solve_arrays' cold retry
             h.setOptionValue("presolve", presolve)
             h.run()

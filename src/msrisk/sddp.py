@@ -249,10 +249,11 @@ class BoundIteration:
     engine's passes can be wrapped (to profile them, say) apart from the other's.
     ``BoundIteration`` builds every LP with ``LpModel``: it adds the
     decision columns ``x`` and the balance rows, the hooks add the rest. The upper
-    sweep makes one envelope call per visited state. Where each scenario has
-    its own envelope columns (DR below stage 1), the call re-solves one live
-    model per scenario ``A`` and ``c``, warm, at each scenario's balance rhs;
-    otherwise it solves the K scenario LPs as one block-diagonal LP. Each
+    sweep makes one envelope call per stage, for all of the stage's states.
+    Where each scenario has its own envelope columns (DR below stage 1), the
+    call holds one live model per scenario ``A`` and ``c`` and re-solves it,
+    warm, at each state's balance rhs; otherwise it solves a state's K
+    scenario LPs as one block-diagonal LP. Each
     stage keeps one live model, re-solved warm per state and grown in place
     by its pools' new cuts; it is rebuilt when the scenario's ``A`` or ``c``
     change, or when HiGHS cannot hold it. Everything runs on the calling
@@ -272,7 +273,6 @@ class BoundIteration:
         self.visited = {t: {} for t in range(1, self.T)}
         self._forward_rng = RngStream(self.options.seed).generator("forward")
         self._live = {}  # t -> (A and c, pool counts, epigraph columns, ResolvableLp)
-        self._envelopes = {}  # (t, archive, penalty) -> {A and c: ResolvableLp}, one key
 
     # -- stage solves --------------------------------------------------------
     def _stage_model(self, t, r, rhs, pools):
@@ -310,8 +310,9 @@ class BoundIteration:
             raise LpError(f"stage {t}, scenario {j}: LP is {sol.status}{note}")
         return float(sol.objective), sol.x[:n], sol.eq_duals if need_duals else None
 
-    def _envelope_values(self, t, x_prev, archive, penalty):
-        """Upper values of the stage-t scenarios at ``x_prev`` over the archive.
+    def _envelope_values(self, t, states, archive, penalty):
+        """Upper values of the stage-t scenarios over the archive, one row per
+        state of ``states`` (stage-(t-1) decisions): a ``(len(states), K)`` array.
 
         ``archive`` holds the states ``X`` (one per row) and their values
         ``V``, a ``(P, E)`` array with one column per envelope (E=1 for
@@ -328,16 +329,15 @@ class BoundIteration:
 
         Only ``A``, ``c`` and the balance rhs differ between scenarios, the K
         scenario LPs share no row, and the l1 and ``sum(lam_e)`` rows are one
-        block built once per call. With scenario-wise envelopes (E > 1) below
-        stage 1, one live ``ResolvableLp`` per scenario ``A`` and ``c`` is
-        held for a whole stage of a sweep (while ``t``, the archive and the
-        penalty stand) and re-solved warm at each balance rhs; the first
-        scenario that is not optimal raises the ``RecourseError``, with its
-        model saved. Otherwise (E = 1, or the one stage-1 LP per sweep) the K
-        LPs are solved cold as one block-diagonal LP, and scenario j's value
-        is ``c_j . x_j`` over its block; if that LP is not optimal, each
-        scenario's LP is solved on its own, in order, and the first failing
-        one raises, with its LP alone saved.
+        block built once per call. The call builds at most one live
+        ``ResolvableLp`` per scenario ``A`` and ``c``, and re-solves it warm at
+        each balance rhs. With scenario-wise envelopes (E > 1) below stage 1,
+        every state is solved that way. Otherwise (E = 1, or the one stage-1
+        LP per sweep) a state's K LPs are solved cold as one block-diagonal
+        LP, and scenario j's value is ``c_j . x_j`` over its block; only a
+        state whose block LP is not optimal goes through the live models. The
+        first scenario that is not optimal raises the ``RecourseError``, with
+        its model saved.
         """
         reals = self.lattice.stage(t)
         K, n = len(reals), self.lattice.num_vars(t)
@@ -357,7 +357,7 @@ class BoundIteration:
         sums = np.hstack([np.zeros((E, q)), np.kron(Ie, np.ones(P)), np.zeros((E, 2 * E * q))])
         tail, b_tail = np.vstack([l1, sums]), np.r_[np.zeros(E * q), np.ones(E)]
 
-        def arrays(js):
+        def arrays(js, x_prev):
             model = LpModel()
             for j in js:
                 r = reals[j]
@@ -367,40 +367,31 @@ class BoundIteration:
                 model.add_equality(np.concatenate([x[priced], w]), tail, b_tail)
             return model.arrays()
 
-        if t > 1 and E > 1:  # live models, one per scenario A and c
-            key = (t, X.tobytes(), V.tobytes(), M.tobytes())
-            if key not in self._envelopes:
-                self._envelopes.clear()
-            held = self._envelopes.setdefault(key, {})
-            objectives = np.empty(K)
+        live = {}  # scenario A and c -> its ResolvableLp, for this call's states
+
+        def per_scenario(x_prev):
             for j, r in enumerate(reals):
                 own = (r.A.tobytes(), r.c.tobytes())
-                if own not in held:
-                    held[own] = ResolvableLp(*arrays([j]))
-                lp = held[own]
-                sol = lp.solve(np.r_[r.b - r.E @ x_prev, b_tail])
+                if own not in live:
+                    live[own] = ResolvableLp(*arrays([j], x_prev))
+                sol = live[own].solve(np.r_[r.b - r.E @ x_prev, b_tail])
                 if not sol.is_optimal:
                     raise RecourseError(
-                        f"stage {t}, scenario {j}: upper envelope LP is {sol.status}{saved_note(lp)}"
+                        f"stage {t}, scenario {j}: upper envelope LP is "
+                        f"{sol.status}{saved_note(live[own])}"
                     )
-                objectives[j] = sol.objective
-            return objectives
-        block = arrays(range(K))
-        sol = solve_arrays(*block)
-        if sol.is_optimal:
-            return np.array([c @ x for c, x in zip(np.split(block[0], K), np.split(sol.x, K))])
-        # one LP per scenario, so the error names the first that fails
-        objectives = []
-        for j in range(K):
-            own = arrays([j])
-            sol = solve_arrays(*own)
-            if not sol.is_optimal:
-                note = saved_note(ResolvableLp(*own))
-                raise RecourseError(
-                    f"stage {t}, scenario {j}: upper envelope LP is {sol.status}{note}"
-                )
-            objectives.append(sol.objective)
-        return np.array(objectives)
+                yield sol.objective
+
+        out = np.empty((len(states), K))
+        for i, x_prev in enumerate(states):
+            if t == 1 or E == 1:
+                block = arrays(range(K), x_prev)
+                sol = solve_arrays(*block)
+                if sol.is_optimal:
+                    out[i] = [c @ x for c, x in zip(np.split(block[0], K), np.split(sol.x, K))]
+                    continue
+            out[i] = list(per_scenario(x_prev))
+        return out
 
     # -- penalty selection -----------------------------------------------------
     def _coupled_columns(self, t: int) -> np.ndarray:
@@ -484,21 +475,21 @@ class BoundIteration:
         because the archives keep the lowest certified value per state. With
         ``states=None`` every state ever visited is re-certified against the
         current deeper archives, which removes all staleness and is done once
-        before reporting a final bound.
+        before reporting a final bound. Each stage below T takes one
+        ``_envelope_values`` call over its whole group of states, stage 1 one
+        at ``x0``; each row is then archived with ``_archive_store``.
         """
         for t in range(self.T, 1, -1):
-            K = self.lattice.size(t)
-            if t < self.T:
-                archive, penalty = self._archive_arrays(t), self._penalty(t)
             group = list(self.visited[t - 1].values()) if states is None else states[t - 1]
-            for x_prev in group:
-                if t == self.T:  # the exact stage LP is the terminal upper value
-                    vals = np.array([self._solve_stage(t, j, x_prev)[0] for j in range(K)])
-                else:
-                    vals = self._envelope_values(t, x_prev, archive, penalty)
-                self._archive_store(t - 1, x_prev, self._risk_value(t, vals))
-        (upper,) = self._envelope_values(
-            1, self.lattice.x0, self._archive_arrays(1), self._penalty(1)
+            if t == self.T:  # the exact stage LP is the terminal upper value
+                K = self.lattice.size(t)
+                vals = np.array([[self._solve_stage(t, j, x)[0] for j in range(K)] for x in group])
+            else:
+                vals = self._envelope_values(t, group, self._archive_arrays(t), self._penalty(t))
+            for x_prev, v in zip(group, vals):
+                self._archive_store(t - 1, x_prev, self._risk_value(t, v))
+        ((upper,),) = self._envelope_values(
+            1, [self.lattice.x0], self._archive_arrays(1), self._penalty(1)
         )
         return float(upper)
 

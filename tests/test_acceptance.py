@@ -406,11 +406,8 @@ def _audit_states(rng, archive, assets, count):
 def _envelope_margins(engine, risk, oracle, t, states, penalty):
     """The risk of the stage-(t+1) envelope values under ``penalty`` minus
     the oracle cost-to-go, at stage-t states."""
-    archive = engine._archive_arrays(t + 1)
-    return np.array([
-        risk(t + 1, engine._envelope_values(t + 1, x, archive, penalty)) - oracle(t + 1, x)
-        for x in states
-    ])
+    values = engine._envelope_values(t + 1, states, engine._archive_arrays(t + 1), penalty)
+    return np.array([risk(t + 1, v) - oracle(t + 1, x) for x, v in zip(states, values)])
 
 
 def test_upper_envelope_audit(marsrm_sweep):

@@ -183,6 +183,29 @@ def test_missing_config_is_usage_error(capsys):
             {"horizon": 2, "scenarios_per_stage": 3, "ambiguity": {"kind": "grid"}},
             "unknown ambiguity kind 'grid'",
         ),
+        # a count out of range or with a fraction is named, not truncated
+        (
+            {"horizon": 2, "scenarios_per_stage": 3, "ambiguity": {"size": 0}},
+            "config key 'ambiguity.size' must be at least 1, not 0",
+        ),
+        (
+            {"horizon": 2, "scenarios_per_stage": 3, "ambiguity": {"size": -2}},
+            "config key 'ambiguity.size' must be at least 1, not -2",
+        ),
+        (
+            {"horizon": 2, "scenarios_per_stage": 3, "ambiguity": {"size": 2.7}},
+            "config key 'ambiguity.size' must be an integer or a list, not 2.7",
+        ),
+        (
+            {"horizon": 2, "scenarios_per_stage": 3,
+             "preference": {"kind": "voronoi", "centers": 2.5}},
+            "config key 'preference.centers' must be an integer, not 2.5",
+        ),
+        (
+            {"horizon": 2, "scenarios_per_stage": 3,
+             "preference": {"kind": "voronoi", "samples": 999.5}},
+            "config key 'preference.samples' must be an integer, not 999.5",
+        ),
     ],
 )
 def test_malformed_config_is_usage_error(tmp_path, doc, reason, capsys):
@@ -191,6 +214,16 @@ def test_malformed_config_is_usage_error(tmp_path, doc, reason, capsys):
     assert main(["oracle", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and reason in err
+
+
+def test_compare_without_modes_is_usage_error(tmp_path, config_path, capsys):
+    # the mode list is checked before anything is built or written
+    out = tmp_path / "cmp"
+    code = main(["compare", "--config", str(config_path), "--modes", ",", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--modes names no mode" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--iters", "--paths"])

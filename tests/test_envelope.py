@@ -1,22 +1,24 @@
 """The upper sweep's envelope LPs against per-scenario references.
 
 ``BoundIteration._envelope_values`` solves a stage's K scenario envelope LPs
-at one state. With scenario-wise envelopes (DR below stage 1, when the next
-stage has more than one scenario) it re-solves one live model per scenario
-``A`` and ``c``, held while the stage, archive and penalty stay the same;
-otherwise it solves them as one block-diagonal LP. It writes the l1 rows and
-slacks only for coordinates with a positive penalty, and DR's support rows
-read one level sum per CVaR level. These tests check its values against the
-literal per-scenario LPs of ``references.envelope_subproblem``, which keeps
-every row, also under a zero penalty and a penalty that is zero on a coupled
-coordinate, and count the cold and live solves; that the live models are
-built once per scenario ``A`` and ``c`` and again whenever the archive or the
-penalty changes; that block j of the block LP is scenario j's own LP, the one
-a failed block solves and saves, with nothing off the diagonal, and that the
-live model held for scenario j is built from scenario j's ``A`` and ``c``;
-that a failure names the first failing scenario and saves its LP alone; that
-a DR run starts no thread; and that every archived value stays above the cut
-model at its state.
+at each state of a group, one call per stage of a sweep. With scenario-wise
+envelopes (DR below stage 1, when the next stage has more than one scenario)
+it re-solves one live model per scenario ``A`` and ``c``, built within the
+call; otherwise it solves a state's K LPs as one block-diagonal LP, and only
+a state whose block LP is not optimal goes through those live models. It
+writes the l1 rows and slacks only for coordinates with a positive penalty,
+and DR's support rows read one level sum per CVaR level. These tests check
+its values against the literal per-scenario LPs of
+``references.envelope_subproblem``, which keeps every row, also under a zero
+penalty and a penalty that is zero on a coupled coordinate, and count the
+cold and live solves; that each call builds one live model per scenario
+``A`` and ``c`` it needs, whatever an earlier call built; that block j of
+the block LP is scenario j's own LP, the one its live model solves when the
+block fails, with nothing off the diagonal, and that the live model solved
+for scenario j has scenario j's ``A`` and ``c``; that a failure names the
+first failing scenario and saves its LP alone; that a DR run starts no
+thread; and that every archived value stays above the cut model at its
+state.
 """
 
 import os
@@ -46,7 +48,7 @@ def narrowing_lattice():
 
 
 def envelope_calls(eng, t):
-    """The states and arguments of each stage-t envelope call of an upper sweep."""
+    """The states and arguments of the stage-t envelope call of an upper sweep."""
     states = [eng.lattice.x0] if t == 1 else list(eng.visited[t - 1].values())
     return states, eng._archive_arrays(t), eng._penalty(t)
 
@@ -61,6 +63,14 @@ def reference_values(eng, t, x_prev, archive, penalty):
     return np.array(values)
 
 
+def check_against_reference(eng, t, states, archive, penalty, got):
+    """Row i of ``got`` against the reference values at ``states[i]``."""
+    assert got.shape == (len(states), eng.lattice.size(t))
+    for x_prev, row in zip(states, got):
+        ref = reference_values(eng, t, x_prev, archive, penalty)
+        np.testing.assert_array_less(np.abs(row - ref), 1e-9 * np.maximum(1.0, np.abs(ref)))
+
+
 def scenario_wise(t, archive):
     """Whether the stage-t envelope call re-solves live models: below stage 1,
     with one envelope column per next-stage scenario, more than one."""
@@ -68,41 +78,71 @@ def scenario_wise(t, archive):
     return t > 1 and np.reshape(V, (len(X), -1)).shape[1] > 1
 
 
-def check_envelope_values(eng, monkeypatch, penalty_at=None):
-    """Each envelope call of an upper sweep against the reference values. A
-    scenario-wise call makes K live solves and no ``solve_arrays`` call, any
-    other one ``solve_arrays`` call and no live solve. ``penalty_at(t)``
-    replaces the penalty."""
-    cold, live = [], []
-    live_solve = msrisk.lp.ResolvableLp.solve
+def distinct_models(eng, t):
+    """The number of distinct scenario ``A`` and ``c`` at stage t."""
+    return len({(r.A.tobytes(), r.c.tobytes()) for r in eng.lattice.stage(t)})
 
-    def counted(*args, **kwargs):
-        cold.append(1)
-        return solve_arrays(*args, **kwargs)
 
-    def counted_live(lp, b_eq):
-        live.append(1)
-        return live_solve(lp, b_eq)
+def record_live(monkeypatch):
+    """The live models that ``msrisk.sddp`` builds, each with the arrays it
+    was built from as ``built_from``, and every live solve as ``(model,
+    b_eq)``, in call order; patch after ``run()``, as stage models count too."""
+    built, solved = [], []
+    solve = msrisk.lp.ResolvableLp.solve
+
+    class Recorded(msrisk.lp.ResolvableLp):
+        def __init__(self, *arrays):
+            super().__init__(*arrays)
+            self.built_from = arrays
+            built.append(self)
+
+    def recorded_solve(lp, b_eq):
+        solved.append((lp, b_eq))
+        return solve(lp, b_eq)
+
+    monkeypatch.setattr(msrisk.sddp, "ResolvableLp", Recorded)
+    monkeypatch.setattr(msrisk.lp.ResolvableLp, "solve", recorded_solve)
+    return built, solved
+
+
+def count_cold(monkeypatch, fail=()):
+    """The ``solve_arrays`` calls of ``msrisk.sddp`` as a list of their
+    arrays; the calls whose 0-based index is in ``fail`` come back infeasible."""
+    calls = []
+
+    def counted(*arrays):
+        calls.append(arrays)
+        if len(calls) - 1 in fail:
+            return LpSolution("infeasible", None, None, None, None)
+        return solve_arrays(*arrays)
 
     monkeypatch.setattr(msrisk.sddp, "solve_arrays", counted)
-    monkeypatch.setattr(msrisk.lp.ResolvableLp, "solve", counted_live)
+    return calls
+
+
+def check_envelope_values(eng, monkeypatch, penalty_at=None):
+    """Each stage's envelope call of an upper sweep against the reference
+    values. A scenario-wise call makes K live solves per state, no
+    ``solve_arrays`` call, and one build per distinct scenario ``A`` and
+    ``c``; any other call one ``solve_arrays`` call per state and no live
+    model. ``penalty_at(t)`` replaces the penalty."""
+    built, solved = record_live(monkeypatch)
+    cold = count_cold(monkeypatch)
     checked = 0
     for t in range(1, eng.T):
         states, archive, penalty = envelope_calls(eng, t)
         if penalty_at is not None:
             penalty = penalty_at(t)
-        for x_prev in states:
-            cold.clear()
-            live.clear()
-            got = eng._envelope_values(t, x_prev, archive, penalty)
-            if scenario_wise(t, archive):
-                assert (len(cold), len(live)) == (0, eng.lattice.size(t))
-            else:  # one block-diagonal LP for all K scenarios
-                assert (len(cold), len(live)) == (1, 0)
-            ref = reference_values(eng, t, x_prev, archive, penalty)
-            assert got.shape == ref.shape
-            np.testing.assert_array_less(np.abs(got - ref), 1e-9 * np.maximum(1.0, np.abs(ref)))
-            checked += 1
+        del built[:], solved[:], cold[:]
+        got = eng._envelope_values(t, states, archive, penalty)
+        K = eng.lattice.size(t)
+        if scenario_wise(t, archive):
+            assert (len(cold), len(solved)) == (0, K * len(states))
+            assert len(built) == distinct_models(eng, t)
+        else:  # one block-diagonal LP for all K scenarios
+            assert (len(cold), len(solved), len(built)) == (len(states), 0, 0)
+        check_against_reference(eng, t, states, archive, penalty, got)
+        checked += len(states)
     assert checked > eng.T
 
 
@@ -145,32 +185,28 @@ def test_envelope_values_with_an_unpriced_coupled_coordinate(kind, monkeypatch):
 @pytest.mark.parametrize("make_lattice", [lattice, costed_lattice, narrowing_lattice])
 def test_block_lp_holds_each_scenarios_own_lp(kind, make_lattice, monkeypatch):
     # the block LP is reported infeasible, so every scenario's own LP is solved
-    # too; a scenario-wise call holds one live model per scenario A and c instead
+    # on the live model of its A and c; a scenario-wise call solves those alone
     eng = engine(kind, make_lattice())
     eng.run()
-    calls = []
-
-    def block_fails(*arrays):
-        calls.append(arrays)
-        if len(calls) == 1:
-            return LpSolution("infeasible", None, None, None, None)
-        return solve_arrays(*arrays)
-
+    built, solved = record_live(monkeypatch)
     for t in range(1, eng.T):
         states, archive, penalty = envelope_calls(eng, t)
-        want = eng._envelope_values(t, states[-1], archive, penalty)
+        del built[:], solved[:]
+        want = eng._envelope_values(t, states[-1:], archive, penalty)
         if scenario_wise(t, archive):
-            check_held_models(eng, t, states[-1], archive, penalty)
+            check_held_models(eng, t, states[-1], archive, penalty, built, solved)
             continue
-        calls.clear()
-        monkeypatch.setattr(msrisk.sddp, "solve_arrays", block_fails)
-        got = eng._envelope_values(t, states[-1], archive, penalty)
+        assert not built and not solved
+        cold = count_cold(monkeypatch, fail=(0,))
+        got = eng._envelope_values(t, states[-1:], archive, penalty)
         monkeypatch.setattr(msrisk.sddp, "solve_arrays", solve_arrays)
         # the per-scenario values are the block LP's
         np.testing.assert_array_less(np.abs(got - want), 1e-9 * np.maximum(1.0, np.abs(want)))
-        (c, A_eq, b_eq, A_ub, b_ub, bounds), *own = calls
-        K = len(own)
-        assert K == eng.lattice.size(t)
+        ((c, A_eq, b_eq, A_ub, b_ub, bounds),) = cold
+        K = len(solved)
+        assert K == eng.lattice.size(t) and len(built) == distinct_models(eng, t)
+        # scenario j's own LP: its model's arrays at the rhs it was solved for
+        own = [(*lp.built_from[:2], rhs, *lp.built_from[3:]) for lp, rhs in solved]
         for whole, part in ((c, 0), (b_eq, 2), (b_ub, 4), (bounds, 5)):
             if whole is None:
                 assert all(arrays[part] is None for arrays in own)
@@ -190,23 +226,24 @@ def test_block_lp_holds_each_scenarios_own_lp(kind, make_lattice, monkeypatch):
                         assert not np.any(blocks[i, :, k])
 
 
-def check_held_models(eng, t, x_prev, archive, penalty):
-    """The live model held for scenario j has scenario j's ``c`` on its first
-    n columns and its ``A`` in the balance rows, nothing else in those rows,
-    the envelope part that every scenario shares, and the reference's columns
-    and rows less the engine's reductions; one model per distinct ``A``, ``c``."""
-    (held,) = eng._envelopes.values()
+def check_held_models(eng, t, x_prev, archive, penalty, built, solved):
+    """The live model solved for scenario j, at scenario j's balance rhs, has
+    scenario j's ``c`` on its first n columns and its ``A`` in the balance
+    rows, nothing else in those rows, the envelope part that every scenario
+    shares, and the reference's columns and rows less the engine's
+    reductions; the call built one model per distinct ``A``, ``c``."""
     reals = eng.lattice.stage(t)
-    assert len(held) == len({(r.A.tobytes(), r.c.tobytes()) for r in reals})
-    shared = None
-    for r in reals:
-        lp = held[(r.A.tobytes(), r.c.tobytes())]
-        c, A_eq, A_ub, b_ub, bounds = lp._args
+    assert len(built) == distinct_models(eng, t) and len(solved) == len(reals)
+    by_key, shared = {}, None
+    for r, (lp, rhs) in zip(reals, solved):
+        assert by_key.setdefault((r.A.tobytes(), r.c.tobytes()), lp) is lp
+        c, A_eq, _, A_ub, b_ub, bounds = lp.built_from
         (m, n), A_eq = r.A.shape, A_eq.toarray()
+        np.testing.assert_array_equal(rhs[:m], r.b - r.E @ x_prev)
         np.testing.assert_array_equal(c[:n], r.c)
         np.testing.assert_array_equal(A_eq[:m, :n], r.A)
         assert not np.any(A_eq[:m, n:])
-        rest = (c[n:], A_eq[m:], A_ub.toarray(), b_ub, bounds)
+        rest = (c[n:], A_eq[m:], rhs[m:], A_ub.toarray(), b_ub, bounds)
         if shared is None:
             shared = rest
         for got, want in zip(rest, shared):
@@ -217,6 +254,32 @@ def check_held_models(eng, t, x_prev, archive, penalty):
         if lp._highs is not None:  # HiGHS holds exactly these arrays
             np.testing.assert_array_equal(lp._highs.getLp().col_cost_, c)
             assert lp._highs.getLp().num_row_ == A_eq.shape[0] + A_ub.shape[0]
+    assert {id(lp) for lp in by_key.values()} == {id(lp) for lp in built}
+
+
+@pytest.mark.parametrize("make_lattice", [lattice, priced_lattice, costed_lattice])
+def test_failed_block_lp_takes_its_values_from_the_live_models(make_lattice, monkeypatch):
+    # a MARSRM block LP comes back non-optimal once, at the second state of a
+    # stage's group: that state's K values come from the live models, one
+    # per scenario A and c, and match the reference; the other states' do not
+    eng = engine("marsrm", make_lattice())
+    eng.run()
+    built, solved = record_live(monkeypatch)
+    checked = 0
+    for t in range(2, eng.T):
+        states, archive, penalty = envelope_calls(eng, t)
+        if len(states) < 3:
+            continue
+        del built[:], solved[:]
+        cold = count_cold(monkeypatch, fail=(1,))
+        got = eng._envelope_values(t, states, archive, penalty)
+        K = eng.lattice.size(t)
+        assert (len(cold), len(solved), len(built)) == (len(states), K, distinct_models(eng, t))
+        for (_, rhs), r in zip(solved, eng.lattice.stage(t)):  # all at the failed state
+            np.testing.assert_array_equal(rhs[: r.b.size], r.b - r.E @ states[1])
+        check_against_reference(eng, t, states, archive, penalty, got)
+        checked += 1
+    assert checked > 0
 
 
 def infeasible_from_scenario(lat, t=2, count=1):
@@ -254,7 +317,8 @@ def saved_shape(eng, kind, realization, x_prev, archive, penalty, t=2):
 
 @pytest.mark.parametrize("kind", ["marsrm", "dr"])
 def test_failed_envelope_names_the_first_failing_scenario(kind):
-    # the failing scenario's LP is saved and reads back infeasible
+    # after a feasible state of the group, the failing scenario's LP is saved
+    # at the failing state and reads back infeasible
     if msrisk.lp._HIGHS is None:
         pytest.skip("scipy ships no HiGHS bindings to write or read the model")
     lat = lattice()
@@ -262,13 +326,14 @@ def test_failed_envelope_names_the_first_failing_scenario(kind):
     eng.run()
     x_prev, first = infeasible_from_scenario(lat)
     assert first > 0
+    states = [next(iter(eng.visited[1].values())), x_prev]
     archive, penalty = eng._archive_arrays(2), eng._penalty(2)
     message = (
         rf"^stage 2, scenario {first}: upper envelope LP is infeasible"
         r" \(the LP is saved in \S+\.mps\)$"
     )
     with pytest.raises(RecourseError, match=message) as err:
-        eng._envelope_values(2, x_prev, archive, penalty)
+        eng._envelope_values(2, states, archive, penalty)
     h = read_saved(str(err.value))
     columns, rows = saved_shape(eng, kind, lat.stage(2)[first], x_prev, archive, penalty)
     assert h.getLp().num_col_ == columns
@@ -279,8 +344,7 @@ def test_failed_envelope_names_the_first_failing_scenario(kind):
 
 @pytest.mark.parametrize("kind", ["marsrm", "dr"])
 def test_failed_envelope_without_highs_writes_nothing(kind, monkeypatch, tmp_path):
-    # without HiGHS from the start, as a live model held from a run with it
-    # would be written
+    # without HiGHS no model can be written, so the message names no file
     monkeypatch.setattr(msrisk.lp, "_HIGHS", None)
     lat = lattice()
     eng = engine(kind, lat)
@@ -289,7 +353,7 @@ def test_failed_envelope_without_highs_writes_nothing(kind, monkeypatch, tmp_pat
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     message = rf"^stage 2, scenario {first}: upper envelope LP is infeasible$"
     with pytest.raises(RecourseError, match=message):
-        eng._envelope_values(2, x_prev, eng._archive_arrays(2), eng._penalty(2))
+        eng._envelope_values(2, [x_prev], eng._archive_arrays(2), eng._penalty(2))
     assert not any(tmp_path.iterdir())
 
 
@@ -306,7 +370,7 @@ def test_several_failed_envelopes_save_only_the_first(kind, monkeypatch, tmp_pat
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     message = rf"^stage 2, scenario {first}: upper envelope LP is infeasible \(the LP is saved"
     with pytest.raises(RecourseError, match=message) as err:
-        eng._envelope_values(2, x_prev, archive, penalty)
+        eng._envelope_values(2, [x_prev], archive, penalty)
     assert len(list(tmp_path.glob("msrisk-lp-*.mps"))) == 1
     h = read_saved(str(err.value))
     columns, _ = saved_shape(eng, kind, lat.stage(2)[first], x_prev, archive, penalty)
@@ -352,35 +416,24 @@ def test_archived_values_dominate_the_cut_model(kind, seed):
     "make_lattice", [lattice, priced_lattice, costed_lattice, narrowing_lattice]
 )
 def test_live_envelope_models_match_a_cold_reference(make_lattice, monkeypatch):
-    # a full refresh from no held model, then, per stage, a shifted archive and
-    # a doubled penalty at visited and perturbed states: every value against
-    # the reference; each (stage, archive, penalty) builds one live model per
-    # distinct scenario A and c, none where the call is not scenario-wise
+    # a full refresh, then, per stage, a shifted archive and a doubled penalty
+    # at visited and perturbed states: every value against the reference; each
+    # scenario-wise call builds one live model per distinct scenario A and c,
+    # whatever the calls before it built, and any other call builds none
     eng = engine("dr", make_lattice())
     eng.run()
-    builds, tag = [], [None]
+    built, _ = record_live(monkeypatch)
+    envelope, calls = eng._envelope_values, []
 
-    class Counted(msrisk.sddp.ResolvableLp):
-        def __init__(self, *args):
-            super().__init__(*args)
-            if tag[0] is not None:  # envelope builds only, not stage builds
-                builds.append(tag[0])
-
-    monkeypatch.setattr(msrisk.sddp, "ResolvableLp", Counted)
-    envelope = eng._envelope_values
-
-    def checked(t, x_prev, archive, penalty, variant="refresh"):
-        tag[0] = (t, variant)
-        try:
-            got = envelope(t, x_prev, archive, penalty)
-        finally:
-            tag[0] = None
-        ref = reference_values(eng, t, x_prev, archive, penalty)
-        np.testing.assert_array_less(np.abs(got - ref), 1e-9 * np.maximum(1.0, np.abs(ref)))
+    def checked(t, states, archive, penalty, variant="refresh"):
+        built.clear()
+        got = envelope(t, states, archive, penalty)
+        assert len(built) == (distinct_models(eng, t) if scenario_wise(t, archive) else 0)
+        check_against_reference(eng, t, states, archive, penalty, got)
+        calls.append((t, variant))
         return got
 
     eng._envelope_values = checked
-    eng._envelopes.clear()
     eng.upper_sweep(None)
     rng = np.random.default_rng(17)
     for t in range(2, eng.T):
@@ -390,11 +443,9 @@ def test_live_envelope_models_match_a_cold_reference(make_lattice, monkeypatch):
         states = visited + [x * (1.0 + 0.3 * rng.uniform(-1.0, 1.0, x.size)) for x in visited]
         for variant, archive, M in (("shifted", (X, V + 1.0), penalty),
                                     ("doubled", (X, V + 1.0), 2.0 * penalty)):
-            for x in states:
-                checked(t, x, archive, M, variant)
-    for t in range(1, eng.T):
-        reals = eng.lattice.stage(t)
-        distinct = len({(r.A.tobytes(), r.c.tobytes()) for r in reals})
-        want = distinct if scenario_wise(t, eng._archive_arrays(t)) else 0
-        for variant in ("refresh", "shifted", "doubled"):
-            assert builds.count((t, variant)) == want
+            checked(t, states, archive, M, variant)
+    # one call per stage and variant
+    assert sorted(calls) == sorted(
+        [(t, "refresh") for t in range(1, eng.T)]
+        + [(t, v) for t in range(2, eng.T) for v in ("shifted", "doubled")]
+    )

@@ -183,7 +183,7 @@ def envelope_value(engine_kind, lat, states, values, penalty, t=1, x_prev=None):
         engine = DrSddp(lat, amb)
         V = np.add.outer(values, np.linspace(0.0, 0.3, lat.size(t + 1)))
     x_prev = lat.x0 if x_prev is None else x_prev
-    return engine._envelope_values(t, x_prev, (np.asarray(states), V), penalty)[0]
+    return engine._envelope_values(t, [x_prev], (np.asarray(states), V), penalty)[0, 0]
 
 
 class TestUpperValue:
