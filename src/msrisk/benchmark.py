@@ -38,10 +38,11 @@ MODE_PRESETS = {
 }
 
 
-def _check_numbers(key, value, kinds, scalar=False, least=None) -> None:
+def _check_numbers(key, value, kinds, scalar=False, least=None, per=None) -> None:
     """Raise ``ValueError`` unless config ``value`` is a number of the numpy
     ``kinds`` or, unless ``scalar``, nested lists of them, each at least
-    ``least`` if given; ``None`` passes for the keys that default to it."""
+    ``least`` if given, and spreads over ``per = (count, what)`` if given;
+    ``None`` passes for the keys that default to it."""
     if value is None and key in ("scenarios_per_stage", "spectrum_breakpoints"):
         return
     try:
@@ -53,6 +54,14 @@ def _check_numbers(key, value, kinds, scalar=False, least=None) -> None:
         raise ValueError(f"config key {key!r} must be {what}, not {value!r}")
     if least is not None and np.any(np.asarray(value) < least):
         raise ValueError(f"config key {key!r} must be at least {least}, not {value!r}")
+    if per is not None:
+        try:
+            np.broadcast_to(value, (per[0],))
+        except ValueError:
+            raise ValueError(
+                f"config key {key!r} must be one value or a list of {per[0]}, "
+                f"one per {per[1]}, not {value!r}"
+            ) from None
 
 
 class _Section(dict):
@@ -102,8 +111,12 @@ class AssetInstanceConfig:
         for key, least in (("horizon", 2), ("assets", 1), ("seed", None),
                            ("spectrum_breakpoints", None)):
             _check_numbers(key, getattr(self, key), "iu", scalar=True, least=least)
-        for key in ("scenarios_per_stage", "mu", "sigma", "corr", "transaction_cost"):
-            _check_numbers(key, getattr(self, key), "iu" if key == "scenarios_per_stage" else "iuf")
+        stages, assets = (self.horizon - 1, "stage 2..T"), (self.assets, "asset")
+        for key, per in (("scenarios_per_stage", stages), ("mu", assets), ("sigma", assets),
+                         ("corr", None), ("transaction_cost", stages)):
+            counts = key == "scenarios_per_stage"
+            _check_numbers(key, getattr(self, key), "iu" if counts else "iuf",
+                           least=1 if counts else None, per=per)
         if self.scenarios_per_stage is None:
             if self.horizon not in PRESET_SCENARIO_COUNTS:
                 raise ValueError(
@@ -111,14 +124,7 @@ class AssetInstanceConfig:
                     "set scenarios_per_stage explicitly"
                 )
             self.scenarios_per_stage = PRESET_SCENARIO_COUNTS[self.horizon]
-        ks = np.broadcast_to(
-            np.asarray(self.scenarios_per_stage, dtype=int), (self.horizon - 1,)
-        )
-        if np.any(ks < 1):
-            raise ValueError("scenario counts must be at least 1")
-        fs = np.broadcast_to(
-            np.asarray(self.transaction_cost, dtype=float), (self.horizon - 1,)
-        )
+        fs = np.asarray(self.transaction_cost, dtype=float)
         if np.any(fs < 0.0) or np.any(fs >= 1.0):
             raise ValueError("transaction cost rates must lie in [0, 1)")
 
@@ -245,7 +251,8 @@ def _build_ambiguities(cfg: AssetInstanceConfig, rng: RngStream):
             spec["support"], spec["probs"], spectrum_builder=builder
         )
         return [amb for _ in stages]
-    _check_numbers("ambiguity.size", spec.get("size", 10), "iu", least=1)
+    _check_numbers("ambiguity.size", spec.get("size", 10), "iu", least=1,
+                   per=(cfg.horizon - 1, "stage 2..T"))
     sizes = np.broadcast_to(spec.get("size", 10), (cfg.horizon - 1,))
     out = []  # sampled
     for t, size in zip(stages, sizes):

@@ -15,6 +15,13 @@ d(objective)/d(rhs). The backend is HiGHS: through scipy.optimize.linprog,
 or, for ``ResolvableLp``, one model kept alive in scipy's private HiGHS class,
 re-solved warm and grown in place (feature-detected, with ``solve_arrays`` as
 its fallback); callers never touch the backend.
+
+Pricing: every LP runs HiGHS's dual simplex with its default dual edge
+weights, except the oracles' full-tree LPs, which pass linprog's
+``simplex_dual_edge_weight_strategy="dantzig"`` through ``solve_arrays``'
+``options`` (see ``extensive``). On those few large cold LPs Dantzig pricing
+cut the HiGHS time by 24 to 64% at equal objectives; applied to every LP it
+slowed the robust engine, whose live models re-solve slower under it.
 """
 
 from __future__ import annotations
@@ -59,8 +66,11 @@ def solve_arrays(
     A_ub=None,
     b_ub=None,
     bounds=None,
+    options=None,
 ) -> LpSolution:
-    """Solve one LP given raw arrays. ``bounds`` defaults to x >= 0."""
+    """Solve one LP given raw arrays. ``bounds`` defaults to x >= 0;
+    ``options`` are linprog's HiGHS options, kept by the presolve-off retry."""
+    options = dict(options or {})
     kwargs = dict(
         A_ub=A_ub,
         b_ub=b_ub,
@@ -69,12 +79,12 @@ def solve_arrays(
         bounds=bounds if bounds is not None else (0, None),
         method="highs",
     )
-    res = linprog(c, **kwargs)
+    res = linprog(c, options=options, **kwargs)
     status = _STATUS.get(res.status)
     if status is None:
         # HiGHS occasionally gives up on badly scaled models after presolve;
         # one clean retry without it resolves those before we fail loudly
-        res = linprog(c, options={"presolve": False}, **kwargs)
+        res = linprog(c, options={**options, "presolve": False}, **kwargs)
         status = _STATUS.get(res.status)
         if status is None:
             raise LpError(f"LP solve failed: {res.message}")
@@ -261,5 +271,5 @@ class LpModel:
         rows, cols = rows.astype(np.int32), cols.astype(np.int32)
         return sparse.coo_array((vals, (rows, cols)), shape=shape), rhs
 
-    def solve(self) -> LpSolution:
-        return solve_arrays(*self.arrays())
+    def solve(self, options=None) -> LpSolution:
+        return solve_arrays(*self.arrays(), options=options)

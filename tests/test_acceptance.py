@@ -374,10 +374,8 @@ def test_criterion_8_cut_validity_audit(marsrm_sweep):
                 wealth = rng.uniform(0.5, 2.5) if t > 2 else 1.0
                 x[:assets] = rng.dirichlet(np.ones(assets)) * wealth
                 grid.append(x)
-            truths = np.array(
-                [cost_to_go_oracle(lat, t, x, prefs=pref) for x in grid]
-            )
             X = np.vstack(grid)
+            truths = cost_to_go_oracle(lat, t, X, prefs=pref)
             for cut in engine.pools[t].cuts[1:]:
                 margins = (cut.intercept + X @ cut.gradient) - truths
                 worst_margin = max(worst_margin, float(np.max(margins)))
@@ -403,11 +401,11 @@ def _audit_states(rng, archive, assets, count):
     return states
 
 
-def _envelope_margins(engine, risk, oracle, t, states, penalty):
+def _envelope_margins(engine, risk, truths, t, states, penalty):
     """The risk of the stage-(t+1) envelope values under ``penalty`` minus
-    the oracle cost-to-go, at stage-t states."""
+    ``truths``, the oracle cost-to-go at the stage-t states."""
     values = engine._envelope_values(t + 1, states, engine._archive_arrays(t + 1), penalty)
-    return np.array([risk(t + 1, v) - oracle(t + 1, x) for x, v in zip(states, values)])
+    return np.array([risk(t + 1, v) for v in values]) - truths
 
 
 def test_upper_envelope_audit(marsrm_sweep):
@@ -436,7 +434,7 @@ def test_upper_envelope_audit(marsrm_sweep):
         kind = "dr" if isinstance(engine, DrSddp) else "marsrm"
         for t in range(1, engine.T - 1):
             states = _audit_states(rng, engine._archive_arrays(t), engine.lattice.num_vars(1), 20)
-            audit = (engine, risk_value, oracle, t, states)
+            audit = (engine, risk_value, oracle(t + 1, np.vstack(states)), t, states)
             margins = _envelope_margins(*audit, engine._penalty(t + 1))
             worst = min(worst, float(np.min(margins)))
             assert np.min(margins) >= -1e-7, (kind, t)

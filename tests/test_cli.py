@@ -206,6 +206,29 @@ def test_missing_config_is_usage_error(capsys):
              "preference": {"kind": "voronoi", "samples": 999.5}},
             "config key 'preference.samples' must be an integer, not 999.5",
         ),
+        # a per-stage or per-asset list of the wrong length is named, not
+        # left to numpy's broadcast error
+        (
+            {"horizon": 3, "scenarios_per_stage": [3, 4, 5]},
+            "config key 'scenarios_per_stage' must be one value or a list of 2, one per stage",
+        ),
+        (
+            {"horizon": 3, "scenarios_per_stage": 3, "ambiguity": {"size": [3, 4, 5]}},
+            "config key 'ambiguity.size' must be one value or a list of 2, one per stage",
+        ),
+        (
+            {"horizon": 3, "scenarios_per_stage": 3, "transaction_cost": [0.01, 0.02, 0.03]},
+            "config key 'transaction_cost' must be one value or a list of 2, one per stage",
+        ),
+        (
+            {"horizon": 2, "scenarios_per_stage": 3, "assets": 2,
+             "lognormal": {"mu": [0.5, 0.6, 0.7]}},
+            "config key 'mu' must be one value or a list of 2, one per asset",
+        ),
+        (
+            {"horizon": 2, "scenarios_per_stage": 3, "assets": 3, "sigma": [0.2, 0.3]},
+            "config key 'sigma' must be one value or a list of 3, one per asset",
+        ),
     ],
 )
 def test_malformed_config_is_usage_error(tmp_path, doc, reason, capsys):

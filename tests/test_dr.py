@@ -272,10 +272,10 @@ class TestDrStage:
         for j, cut in enumerate(cuts):
             v, _, _ = engine._solve_stage(2, j, x1)
             assert abs(cut.intercept + cut.gradient @ x1 - v) < 1e-8
-        for x in rng.dirichlet(np.ones(2), size=50):
-            for j, cut in enumerate(cuts):
-                truth = dr_subtree_value(lat, 2, j, x, amb)
-                assert cut.intercept + cut.gradient @ x <= truth + 1e-7
+        X = rng.dirichlet(np.ones(2), size=50)
+        for j, cut in enumerate(cuts):
+            truth = dr_subtree_value(lat, 2, j, X, amb)
+            assert np.all(cut.intercept + X @ cut.gradient <= truth + 1e-7)
 
 
 class TestDrTrain:

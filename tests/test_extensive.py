@@ -4,10 +4,13 @@ The two-asset two-stage instances admit an exact independent solution: the
 objective is piecewise linear in the single allocation weight, with kinks
 only where two scenario wealth lines cross, so minimizing over the crossing
 points and endpoints is exact. On larger trees the oracles' sparse LPs are
-checked against the dense tree LPs of ``references.tree_model``.
+checked against the dense tree LPs of ``references.tree_model``, also where
+a batched cost-to-go oracle re-solves one live subtree LP per subtree for
+many states; a spy on ``linprog`` checks which LPs use Dantzig pricing.
 """
 
 import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ import pytest
 import msrisk.extensive
 import msrisk.lp
 from msrisk.benchmark import AssetInstanceConfig, build_asset_instance
-from msrisk.dr import MomentAmbiguitySet, worst_case_arsrm
+from msrisk.dr import DrSddp, MomentAmbiguitySet, worst_case_arsrm
 from msrisk.extensive import (
     _add_node,
     _check_size,
@@ -37,8 +40,10 @@ from msrisk.scenario import (
     build_lognormal_lattice,
     preset_preference,
 )
+from msrisk.sddp import MarsrmSddp, TrainOptions, resolve_stage_weights
 from references import dr_tree_risk, marsrm_tree_risk, tree_model
-from test_live_lp import read_saved
+from test_acceptance import small_instances
+from test_live_lp import ambiguity, costed_lattice, priced_lattice, read_saved
 
 
 def two_stage_lattice(seed=0, assets=2, K=4, f=0.0):
@@ -353,3 +358,140 @@ def test_infeasible_tree_lp_without_highs_writes_nothing(monkeypatch, tmp_path):
     with pytest.raises(LpError, match=r"^extensive form LP is infeasible$"):
         subtree_value(lat, 2, 0, -np.ones(2), prefs=preset_preference("risk_neutral"))
     assert not any(tmp_path.iterdir())
+
+
+# -- pricing: Dantzig for the full-tree LPs only ---------------------------------
+
+PRICING = "simplex_dual_edge_weight_strategy"
+
+
+def spy_linprog(monkeypatch, fail_first_of=None):
+    """Record ``(column count, options)`` of every ``linprog`` call; the first
+    call with ``fail_first_of`` columns reports a failure without solving, which
+    forces ``solve_arrays``' presolve-off retry."""
+    calls, real = [], msrisk.lp.linprog
+
+    def spy(c, *args, **kwargs):
+        first = np.size(c) == fail_first_of and all(n != fail_first_of for n, _ in calls)
+        calls.append((np.size(c), dict(kwargs.get("options") or {})))
+        if first:
+            return SimpleNamespace(status=4, message="forced")
+        return real(c, *args, **kwargs)
+
+    monkeypatch.setattr(msrisk.lp, "linprog", spy)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["marsrm", "dr"])
+def test_full_tree_oracles_price_with_dantzig(monkeypatch, kind):
+    inst = oracle_instance("t3-voronoi")
+    lat, prefs, ambs = inst.lattice, inst.preferences, inst.ambiguities
+    risk = _marsrm_risk(lat, prefs)[0] if kind == "marsrm" else _dr_risk(lat, ambs)[0]
+    n = _check_size(lat, 1, _node_layouts(lat, risk))
+    want = extensive_form_marsrm(lat, prefs) if kind == "marsrm" else extensive_form_dr(lat, ambs)
+    calls = spy_linprog(monkeypatch, fail_first_of=n)
+    got = extensive_form_marsrm(lat, prefs) if kind == "marsrm" else extensive_form_dr(lat, ambs)
+    # the tree LP, then its forced presolve-off retry, both priced with Dantzig
+    tree = [options for size, options in calls if size == n]
+    assert tree == [{PRICING: "dantzig"}, {PRICING: "dantzig", "presolve": False}]
+    assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+def test_engine_lps_keep_the_default_pricing(monkeypatch):
+    calls = spy_linprog(monkeypatch)
+    lat = build_lognormal_lattice(3, 2, 0.6, 0.3, 0.5, 3, RngStream(12), transaction_cost=0.01)
+    opts = TrainOptions(max_iterations=3, full_enumeration=True)
+    MarsrmSddp(lat, prefs=preset_preference("mild_averse"), options=opts).run()
+    DrSddp(lat, ambiguity(), options=opts).run()
+    assert calls and not any(PRICING in options for _, options in calls)
+
+
+# -- batched cost-to-go oracles --------------------------------------------------
+
+
+def random_states(rng, lat, t, count):
+    """``count`` stage-(t-1) decisions: random holdings at a random wealth."""
+    assets = lat.num_vars(1)
+    X = np.zeros((count, lat.num_vars(t - 1)))
+    X[:, :assets] = rng.dirichlet(np.ones(assets), count) * rng.uniform(0.5, 1.5, (count, 1))
+    return X
+
+
+def batched_cases():
+    """(lattice, prefs, ambs): the small acceptance instances and two lattices
+    with per-scenario ``A`` or ``c``."""
+    rng = np.random.default_rng(19)
+    cases = []
+    for lat, pref in small_instances() + [(costed_lattice(), None), (priced_lattice(), None)]:
+        support = np.column_stack([rng.uniform(0.05, 0.95, 3), rng.uniform(0.05, 0.9, 3)])
+        amb = MomentAmbiguitySet.from_empirical(support, rng.dirichlet(np.ones(3) * 3))
+        cases.append((lat, pref or preset_preference("mild_averse"), amb))
+    return cases
+
+
+def oracles(kind, lat, pref, amb):
+    """The engine's dense reference risk, its batched oracle and subtree
+    value, and its aggregation of one state's subtree values at stage t."""
+    if kind == "marsrm":
+        weights = resolve_stage_weights(lat, pref)
+        return (
+            marsrm_tree_risk(lat, pref),
+            lambda t, X: cost_to_go_oracle(lat, t, X, prefs=pref),
+            lambda t, j, X: subtree_value(lat, t, j, X, prefs=pref),
+            lambda t, v: weights[t].aggregate(v),
+        )
+    _, amb_map, betas = _dr_risk(lat, amb)
+    return (
+        dr_tree_risk(lat, amb),
+        lambda t, X: dr_cost_to_go_oracle(lat, t, X, amb),
+        lambda t, j, X: dr_subtree_value(lat, t, j, X, amb),
+        lambda t, v: worst_case_arsrm(v, amb_map[t], betas[t]),
+    )
+
+
+@pytest.mark.parametrize("kind", ["marsrm", "dr"])
+def test_batched_oracles_match_per_state_cold_solves(monkeypatch, kind):
+    # one call over a batch of states builds each subtree LP once and
+    # re-solves it warm per state; every value matches a cold solve of the
+    # dense reference tree LP at that state alone
+    built, real = [], msrisk.extensive.ResolvableLp
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(msrisk.extensive, "ResolvableLp", counted)
+    rng = np.random.default_rng(7)
+    for lat, pref, amb in batched_cases():
+        dense, oracle, subtree, aggregate = oracles(kind, lat, pref, amb)
+        for t in range(2, lat.horizon + 1):
+            X, K = random_states(rng, lat, t, 3), lat.size(t)
+            cold = np.array([
+                [tree_model(lat, dense, t, j, x).solve().objective for j in range(K)] for x in X
+            ])
+            for j in range(K):
+                err = np.abs(subtree(t, j, X) - cold[:, j])
+                assert np.all(err <= 1e-9 * np.maximum(1.0, np.abs(cold[:, j]))), (t, j)
+            want = np.array([aggregate(t, v) for v in cold])
+            del built[:]
+            got = oracle(t, X)
+            assert len(built) == K  # one model per subtree j
+            assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want))), t
+            single = oracle(t, X[0])
+            assert isinstance(single, float) and single == got[0]
+            assert len(built) == 2 * K  # a further call builds them again
+
+
+def test_a_failing_state_in_a_batch_saves_its_own_lp():
+    if msrisk.lp._HIGHS is None:
+        pytest.skip("scipy ships no HiGHS bindings to write or read the model")
+    lat = build_lognormal_lattice(3, 2, 0.6, 0.3, 0.5, 3, RngStream(12), transaction_cost=0.0)
+    amb = MomentAmbiguitySet.from_empirical([(0.2, 0.5), (0.8, 0.3)], [0.5, 0.5])
+    # the second state's negative holding makes the budget row's rhs negative
+    X = np.array([[0.3, 0.7], [-1.0, -1.0], [0.5, 0.5]])
+    message = r"^extensive form LP is infeasible \(the LP is saved in \S+\.mps\)$"
+    with pytest.raises(LpError, match=message) as err:
+        dr_cost_to_go_oracle(lat, 2, X, amb)
+    h = read_saved(str(err.value))  # the model as it stood at the failing state
+    h.run()
+    assert h.getModelStatus().name == "kInfeasible"

@@ -164,9 +164,9 @@ class TestBackwardPass:
         for x1 in simplex_states(rng, 2, 3):
             engine.backward_pass({1: [x1]})
         for cut in engine.pools[2].cuts[1:]:
-            for x in simplex_states(rng, 2, 100):
-                truth = cost_to_go_oracle(lat, 2, x, prefs=HALF_CVAR)
-                assert cut.intercept + cut.gradient @ x <= truth + 1e-7
+            X = np.array(simplex_states(rng, 2, 100))
+            truth = cost_to_go_oracle(lat, 2, X, prefs=HALF_CVAR)
+            assert np.all(cut.intercept + X @ cut.gradient <= truth + 1e-7)
 
 
 def envelope_value(engine_kind, lat, states, values, penalty, t=1, x_prev=None):
