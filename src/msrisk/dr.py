@@ -283,10 +283,6 @@ class DrSddp(BoundIteration):
             for t in range(2, self.T + 1)
         }
 
-    forward_pass = BoundIteration.forward_pass
-    backward_pass = BoundIteration.backward_pass
-    upper_sweep = BoundIteration.upper_sweep
-
     def _stage_pools(self, t):
         return self.pools[t]
 

@@ -19,16 +19,16 @@ variables. Intended as a ground-truth reference at desk scale. The robust
 oracle reads the engine's :func:`msrisk.dr.moment_dual_block`; the independent
 reference for both is the dense tree LP of ``tests/references.py``.
 
-The two LP families solve differently. A full-tree LP (``extensive_form_*``)
-is solved once, cold, through ``linprog`` with Dantzig dual pricing
-(``TREE_PRICING``): on the four-stage benchmark instances (seeds 1, 3, 7) it
-took the HiGHS time per tree LP down by 24 to 64% against the default
-pricing, with objectives equal to 1e-15 relative, while Devex was mixed,
-primal simplex 10x and the interior point 2.5x slower. A cost-to-go oracle
-takes one state or a batch (one per row) and builds each subtree LP once per
-call as a live :class:`~msrisk.lp.ResolvableLp`; the state enters only the
-root's balance rhs, which is written for each state before a warm re-solve.
-The subtree models keep the default pricing and live only for the call.
+Every oracle solves one kind of LP: a scenario subtree, whose state enters
+only the root's balance rhs. The full tree (``extensive_form_*``) is the
+subtree rooted at stage 1, at ``lattice.x0``. An oracle takes one state or a
+batch (one per row), builds each subtree LP once per call as a live
+:class:`~msrisk.lp.ResolvableLp`, writes each state's root balance rhs and
+re-solves warm. The models are priced with Dantzig's rule: on the four-stage
+benchmark instances (seeds 1, 3, 7) it took the HiGHS time per full-tree LP
+down by 24 to 64% against the default pricing, with objectives equal to
+1e-15 relative, while Devex was mixed, primal simplex 10x and the interior
+point 2.5x slower.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ from .lp import LpError, LpModel, ResolvableLp, saved_note
 from .sddp import resolve_stage_weights
 
 MAX_ORACLE_VARIABLES = 200_000
-# linprog's HiGHS option for the full-tree LPs' dual simplex pricing
-TREE_PRICING = {"simplex_dual_edge_weight_strategy": "dantzig"}
 
 
 class _NodeLayout(NamedTuple):
@@ -149,30 +147,16 @@ def _add_node(model, lattice, layouts, t, j, parent, root=False):
     return cols, costs
 
 
-def _solve_tree(lattice, risk) -> float:
-    """The value of the whole tree from ``lattice.x0``: one cold tree LP
-    through ``linprog``, priced with ``TREE_PRICING``."""
-    layouts = _node_layouts(lattice, risk)
-    _check_size(lattice, 1, layouts)
-    model = LpModel()
-    _add_node(model, lattice, layouts, 1, 0, np.asarray(lattice.x0, dtype=float), root=True)
-    sol = model.solve(options=TREE_PRICING)
-    if not sol.is_optimal:
-        note = saved_note(ResolvableLp(*model.arrays()))
-        raise LpError(f"extensive form LP is {sol.status}{note}")
-    return float(sol.objective)
-
-
 def _subtree_values(lattice, risk, t, x_prev, js=None) -> np.ndarray:
     """Exact values of the stage-t scenario subtrees ``js`` (all by default)
     at each state of ``x_prev`` (one state, or one per row): an array with
     one row per state and one column per subtree.
 
-    Each subtree LP is built once and held as a :class:`ResolvableLp`. The
-    state enters it only through the root's balance rows, which come first,
-    so for each state their rhs ``r.b - r.E @ x`` is written and the LP is
-    re-solved warm. A state whose LP is not optimal raises at once, with
-    that LP saved.
+    Each subtree LP is built once and held as a :class:`ResolvableLp`
+    priced with Dantzig's rule. The state enters it only through the root's
+    balance rows, which come first, so for each state their rhs ``r.b - r.E
+    @ x`` is written and the LP is re-solved warm. A state whose LP is not
+    optimal raises at once, with that LP saved.
     """
     states = np.atleast_2d(np.asarray(x_prev, dtype=float))
     layouts = _node_layouts(lattice, risk)
@@ -184,7 +168,7 @@ def _subtree_values(lattice, risk, t, x_prev, js=None) -> np.ndarray:
         model = LpModel()
         _add_node(model, lattice, layouts, t, j, states[0], root=True)
         c, A_eq, b_eq, *rest = model.arrays()
-        lp = ResolvableLp(c, A_eq, b_eq, *rest)
+        lp = ResolvableLp(c, A_eq, b_eq, *rest, dantzig=True)
         for i, x in enumerate(states):
             sol = lp.solve(np.concatenate([r.b - r.E @ x, b_eq[r.b.size:]]))
             if not sol.is_optimal:
@@ -213,8 +197,7 @@ def _marsrm_risk(lattice, prefs) -> tuple[dict, dict]:
 
 def extensive_form_marsrm(lattice, prefs) -> float:
     """Exact optimal value of the nested risk-averse multistage problem."""
-    risk, _ = _marsrm_risk(lattice, prefs)
-    return _solve_tree(lattice, risk)
+    return subtree_value(lattice, 1, 0, lattice.x0, prefs)
 
 
 def subtree_value(lattice, t, j, x_prev, prefs):
@@ -253,8 +236,7 @@ def _dr_risk(lattice, ambs) -> tuple[dict, dict, dict]:
 
 def extensive_form_dr(lattice, ambs) -> float:
     """Exact optimal value of the distributionally robust multistage problem."""
-    risk, _, _ = _dr_risk(lattice, ambs)
-    return _solve_tree(lattice, risk)
+    return dr_subtree_value(lattice, 1, 0, lattice.x0, ambs)
 
 
 def dr_subtree_value(lattice, t, j, x_prev, ambs):

@@ -14,14 +14,16 @@ sensitivity convention for a minimization problem: the dual of a row is
 d(objective)/d(rhs). The backend is HiGHS: through scipy.optimize.linprog,
 or, for ``ResolvableLp``, one model kept alive in scipy's private HiGHS class,
 re-solved warm and grown in place (feature-detected, with ``solve_arrays`` as
-its fallback); callers never touch the backend.
+its fallback); callers never touch the backend. A solve that HiGHS gives up
+on, even after a cold retry without presolve, raises :class:`LpError` naming
+the ``.mps`` file its LP is saved in.
 
 Pricing: every LP runs HiGHS's dual simplex with its default dual edge
-weights, except the oracles' full-tree LPs, which pass linprog's
-``simplex_dual_edge_weight_strategy="dantzig"`` through ``solve_arrays``'
-``options`` (see ``extensive``). On those few large cold LPs Dantzig pricing
-cut the HiGHS time by 24 to 64% at equal objectives; applied to every LP it
-slowed the robust engine, whose live models re-solve slower under it.
+weights, except the oracles' tree LPs, which ``ResolvableLp(dantzig=True)``
+prices with Dantzig's rule (see ``extensive``). On those few large LPs
+Dantzig pricing cut the HiGHS time by 24 to 64% at equal objectives; applied
+to every LP it slowed the robust engine, whose live models re-solve slower
+under it.
 """
 
 from __future__ import annotations
@@ -66,11 +68,8 @@ def solve_arrays(
     A_ub=None,
     b_ub=None,
     bounds=None,
-    options=None,
 ) -> LpSolution:
-    """Solve one LP given raw arrays. ``bounds`` defaults to x >= 0;
-    ``options`` are linprog's HiGHS options, kept by the presolve-off retry."""
-    options = dict(options or {})
+    """Solve one LP given raw arrays. ``bounds`` defaults to x >= 0."""
     kwargs = dict(
         A_ub=A_ub,
         b_ub=b_ub,
@@ -79,15 +78,16 @@ def solve_arrays(
         bounds=bounds if bounds is not None else (0, None),
         method="highs",
     )
-    res = linprog(c, options=options, **kwargs)
+    res = linprog(c, **kwargs)
     status = _STATUS.get(res.status)
     if status is None:
         # HiGHS occasionally gives up on badly scaled models after presolve;
         # one clean retry without it resolves those before we fail loudly
-        res = linprog(c, options={**options, "presolve": False}, **kwargs)
+        res = linprog(c, options={"presolve": False}, **kwargs)
         status = _STATUS.get(res.status)
         if status is None:
-            raise LpError(f"LP solve failed: {res.message}")
+            lp = ResolvableLp(np.asarray(c, dtype=float), A_eq, b_eq, A_ub, b_ub, kwargs["bounds"])
+            raise LpError(f"LP solve failed: {res.message}{saved_note(lp)}")
     if status != "optimal":
         return LpSolution(status, None, None, None, None)
     eq_duals = np.asarray(res.eqlin.marginals) if A_eq is not None else None
@@ -116,32 +116,37 @@ class ResolvableLp:
     """An LP held in HiGHS and re-solved for new equality right-hand sides.
 
     Built from ``solve_arrays``'s arrays in linprog's layout (rows ``[A_ub;
-    A_eq]``, CSC columns). ``solve(b_eq)`` changes only the equality-row
-    bounds that differ from the last ones, so HiGHS starts from the previous
-    basis and skips presolve; statuses and the cold presolve-off retry match
-    ``solve_arrays``, which does every solve when the HiGHS class is
-    missing. While HiGHS holds the model (``grows``), ``add_inequalities``
-    appends ``<=`` rows after all others and keeps the basis, so the balance
-    rows' range is tracked and ``ineq_duals`` holds every ``<=`` row in model
-    order.
+    A_eq]``, CSC columns); ``A_eq`` and ``b_eq`` may be ``None``. The model
+    keeps its own copy of every ``b_eq`` it is given. ``solve(b_eq)`` changes
+    only the equality-row bounds that differ from the last ones, so HiGHS
+    starts from the previous basis and skips presolve; statuses and the cold
+    presolve-off retry match ``solve_arrays``, which does every solve when the
+    HiGHS class is missing. ``dantzig`` prices the dual simplex with
+    Dantzig's rule; the fallback ignores it and uses the default pricing.
+    While HiGHS holds the model (``grows``), ``add_inequalities`` appends
+    ``<=`` rows after all others and keeps the basis, so the balance rows'
+    range is tracked and ``ineq_duals`` holds every ``<=`` row in model order.
     """
 
-    def __init__(self, c, A_eq, b_eq, A_ub=None, b_ub=None, bounds=(0, None)):
+    def __init__(self, c, A_eq, b_eq, A_ub=None, b_ub=None, bounds=(0, None), dantzig=False):
         self._args, self._highs = (c, A_eq, A_ub, b_ub, bounds), None
         self.grows = _HIGHS is not None
         if _HIGHS is None:
             return
+        b_eq = np.array(b_eq if b_eq is not None else [], dtype=float)
         # [A_ub; A_eq] from COO triplets, as sparse.vstack of COO blocks is slower
         up, eq = (sparse.coo_array(a if a is not None else (0, c.size)) for a in (A_ub, A_eq))
         m = up.shape[0]
-        self._eq, self._b_eq = slice(m, m + len(b_eq)), np.asarray(b_eq, dtype=float)
+        self._eq, self._b_eq = slice(m, m + b_eq.size), b_eq
         rows, cols = np.r_[up.row, eq.row + m], np.r_[up.col, eq.col]
-        A = sparse.csc_array((np.r_[up.data, eq.data], (rows, cols)), shape=(m + len(b_eq), c.size))
+        A = sparse.csc_array((np.r_[up.data, eq.data], (rows, cols)), shape=(m + b_eq.size, c.size))
         box = np.broadcast_to(np.array(bounds, dtype=float), (c.size, 2))  # None -> nan
         lb, ub = np.where(np.isnan(box), [-np.inf, np.inf], box).T
         self._highs = _HIGHS()
         self._highs.setOptionValue("output_flag", False)
         self._highs.setOptionValue("simplex_strategy", 1)  # dual simplex, as in linprog
+        if dantzig:
+            self._highs.setOptionValue("simplex_dual_edge_weight_strategy", 0)
         self._highs.passModel(  # column-wise matrix, minimize, every column continuous
             A.shape[1], A.shape[0], A.nnz, 1, 1, 0.0, np.asarray(c, dtype=float), lb, ub,
             np.concatenate([np.full(m, -np.inf), b_eq]),
@@ -162,19 +167,20 @@ class ResolvableLp:
         h = self._highs
         if h is None:
             return solve_arrays(c, A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub, bounds=bounds)
-        b_eq = np.asarray(b_eq, dtype=float)
+        b_eq = np.array(b_eq, dtype=float)  # a copy: the caller may edit its array
         for i in np.flatnonzero(b_eq != self._b_eq):  # HiGHS holds the last bounds
             h.changeRowBounds(self._eq.start + int(i), b_eq[i], b_eq[i])
         self._b_eq = b_eq
         for presolve in ("on", "off"):  # as linprog, then solve_arrays' cold retry
             h.setOptionValue("presolve", presolve)
             h.run()
-            status = _HIGHS_STATUS.get(h.getModelStatus().name)
+            name = h.getModelStatus().name
+            status = _HIGHS_STATUS.get(name)
             if status is not None:
                 break
             h.clearSolver()  # drops the basis, so the retry is cold
         else:
-            raise LpError(f"LP solve failed: HiGHS status {h.getModelStatus().name}")
+            raise LpError(f"LP solve failed: HiGHS status {name}{saved_note(self)}")
         if status != "optimal":
             return LpSolution(status, None, None, None, None)
         sol, eq = h.getSolution(), self._eq
@@ -271,5 +277,5 @@ class LpModel:
         rows, cols = rows.astype(np.int32), cols.astype(np.int32)
         return sparse.coo_array((vals, (rows, cols)), shape=shape), rhs
 
-    def solve(self, options=None) -> LpSolution:
-        return solve_arrays(*self.arrays(), options=options)
+    def solve(self) -> LpSolution:
+        return solve_arrays(*self.arrays())

@@ -245,8 +245,8 @@ class BoundIteration:
       columns ``[lam_e, yp_e, ym_e]`` that ``values`` prices;
     * ``_stage_pools(t)``: the cut pools of stage t.
 
-    Each engine binds the three passes in its own class body, so one
-    engine's passes can be wrapped (to profile them, say) apart from the other's.
+    ``MarsrmSddp`` binds the three passes in its own class body only because
+    the benchmark's tracer test reads ``vars(MarsrmSddp)["upper_sweep"]``.
     ``BoundIteration`` builds every LP with ``LpModel``: it adds the
     decision columns ``x`` and the balance rows, the hooks add the rest. The upper
     sweep makes one envelope call per stage, for all of the stage's states.

@@ -6,11 +6,11 @@ only where two scenario wealth lines cross, so minimizing over the crossing
 points and endpoints is exact. On larger trees the oracles' sparse LPs are
 checked against the dense tree LPs of ``references.tree_model``, also where
 a batched cost-to-go oracle re-solves one live subtree LP per subtree for
-many states; a spy on ``linprog`` checks which LPs use Dantzig pricing.
+many states, and on the route without the HiGHS class; spies on the held
+models check which LPs use Dantzig pricing.
 """
 
 import tempfile
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,7 +32,7 @@ from msrisk.extensive import (
     extensive_form_marsrm,
     subtree_value,
 )
-from msrisk.lp import LpError, LpModel, solve_arrays
+from msrisk.lp import LpError, LpModel, ResolvableLp, solve_arrays
 from msrisk.risk import DiscreteDistribution, PreferenceDistribution, arsrm_weights, cvar
 from msrisk.scenario import (
     RngStream,
@@ -360,50 +360,70 @@ def test_infeasible_tree_lp_without_highs_writes_nothing(monkeypatch, tmp_path):
     assert not any(tmp_path.iterdir())
 
 
-# -- pricing: Dantzig for the full-tree LPs only ---------------------------------
+# -- pricing: Dantzig for every oracle model, the default for the engines ----
 
 PRICING = "simplex_dual_edge_weight_strategy"
 
 
-def spy_linprog(monkeypatch, fail_first_of=None):
-    """Record ``(column count, options)`` of every ``linprog`` call; the first
-    call with ``fail_first_of`` columns reports a failure without solving, which
-    forces ``solve_arrays``' presolve-off retry."""
+def spy_models(monkeypatch):
+    """Record every ``ResolvableLp`` built, wherever it is built."""
+    models, init = [], ResolvableLp.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        models.append(self)
+
+    monkeypatch.setattr(ResolvableLp, "__init__", spy)
+    return models
+
+
+def pricing(lp):
+    """HiGHS's dual edge weight strategy for a held model: 0 is Dantzig, -1
+    (the default) lets HiGHS choose."""
+    return lp._highs.getOptionValue(PRICING)[1]
+
+
+def spy_linprog(monkeypatch):
+    """Record ``(column count, options)`` of every ``linprog`` call."""
     calls, real = [], msrisk.lp.linprog
 
     def spy(c, *args, **kwargs):
-        first = np.size(c) == fail_first_of and all(n != fail_first_of for n, _ in calls)
         calls.append((np.size(c), dict(kwargs.get("options") or {})))
-        if first:
-            return SimpleNamespace(status=4, message="forced")
         return real(c, *args, **kwargs)
 
     monkeypatch.setattr(msrisk.lp, "linprog", spy)
     return calls
 
 
-@pytest.mark.parametrize("kind", ["marsrm", "dr"])
-def test_full_tree_oracles_price_with_dantzig(monkeypatch, kind):
+def test_every_oracle_model_prices_with_dantzig(monkeypatch):
+    if msrisk.lp._HIGHS is None:
+        pytest.skip("scipy ships no HiGHS bindings to hold a model")
     inst = oracle_instance("t3-voronoi")
     lat, prefs, ambs = inst.lattice, inst.preferences, inst.ambiguities
-    risk = _marsrm_risk(lat, prefs)[0] if kind == "marsrm" else _dr_risk(lat, ambs)[0]
-    n = _check_size(lat, 1, _node_layouts(lat, risk))
-    want = extensive_form_marsrm(lat, prefs) if kind == "marsrm" else extensive_form_dr(lat, ambs)
-    calls = spy_linprog(monkeypatch, fail_first_of=n)
-    got = extensive_form_marsrm(lat, prefs) if kind == "marsrm" else extensive_form_dr(lat, ambs)
-    # the tree LP, then its forced presolve-off retry, both priced with Dantzig
-    tree = [options for size, options in calls if size == n]
-    assert tree == [{PRICING: "dantzig"}, {PRICING: "dantzig", "presolve": False}]
-    assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+    risks = (_marsrm_risk(lat, prefs)[0], _dr_risk(lat, ambs)[0])
+    trees = {_check_size(lat, 1, _node_layouts(lat, risk)) for risk in risks}
+    models, calls = spy_models(monkeypatch), spy_linprog(monkeypatch)
+    X = random_states(np.random.default_rng(3), lat, 2, 2)
+    extensive_form_marsrm(lat, prefs)
+    extensive_form_dr(lat, ambs)
+    cost_to_go_oracle(lat, 2, X, prefs=prefs)
+    dr_cost_to_go_oracle(lat, 2, X, ambs)
+    # the full trees are the stage-1 subtrees, built as held models, not linprog LPs
+    columns = [lp._highs.getLp().num_col_ for lp in models]
+    assert trees <= set(columns) and not trees & {size for size, _ in calls}
+    assert len(models) == 2 + 2 * lat.size(2)
+    assert all(pricing(lp) == 0 for lp in models)
 
 
 def test_engine_lps_keep_the_default_pricing(monkeypatch):
-    calls = spy_linprog(monkeypatch)
+    models, calls = spy_models(monkeypatch), spy_linprog(monkeypatch)
     lat = build_lognormal_lattice(3, 2, 0.6, 0.3, 0.5, 3, RngStream(12), transaction_cost=0.01)
     opts = TrainOptions(max_iterations=3, full_enumeration=True)
     MarsrmSddp(lat, prefs=preset_preference("mild_averse"), options=opts).run()
     DrSddp(lat, ambiguity(), options=opts).run()
     assert calls and not any(PRICING in options for _, options in calls)
+    if msrisk.lp._HIGHS is not None:  # the engines' held stage and envelope models
+        assert models and all(pricing(lp) == -1 for lp in models)
 
 
 # -- batched cost-to-go oracles --------------------------------------------------
@@ -456,9 +476,9 @@ def test_batched_oracles_match_per_state_cold_solves(monkeypatch, kind):
     # dense reference tree LP at that state alone
     built, real = [], msrisk.extensive.ResolvableLp
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         built.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(msrisk.extensive, "ResolvableLp", counted)
     rng = np.random.default_rng(7)
@@ -495,3 +515,23 @@ def test_a_failing_state_in_a_batch_saves_its_own_lp():
     h = read_saved(str(err.value))  # the model as it stood at the failing state
     h.run()
     assert h.getModelStatus().name == "kInfeasible"
+
+
+def test_oracles_without_the_highs_class_match(monkeypatch):
+    # every oracle model falls back to solve_arrays with the default pricing
+    inst = oracle_instance("t3-voronoi")
+    lat, prefs, ambs = inst.lattice, inst.preferences, inst.ambiguities
+    X = random_states(np.random.default_rng(5), lat, 2, 3)
+
+    def values():
+        return np.r_[
+            extensive_form_marsrm(lat, prefs),
+            extensive_form_dr(lat, ambs),
+            cost_to_go_oracle(lat, 2, X, prefs=prefs),
+            dr_cost_to_go_oracle(lat, 2, X, ambs),
+        ]
+
+    held = values()
+    monkeypatch.setattr(msrisk.lp, "_HIGHS", None)
+    fallback = values()
+    assert np.all(np.abs(fallback - held) <= 1e-9 * np.maximum(1.0, np.abs(held)))

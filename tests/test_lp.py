@@ -1,10 +1,13 @@
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import msrisk.lp
-from msrisk.lp import LpModel, ResolvableLp, solve_arrays
+from msrisk.dr import MomentAmbiguitySet, worst_case_arsrm
+from msrisk.lp import LpError, LpModel, ResolvableLp, solve_arrays
+from test_live_lp import read_saved
 
 
 def test_equality_dual_sensitivity_convention():
@@ -221,3 +224,57 @@ def test_rows_appended_to_a_live_model_match_the_stacked_arrays():
     assert h.getLp().num_row_ == 2 + m_eq + 4
     h.run()
     assert abs(h.getObjectiveValue() - sol.objective) <= 1e-9 * max(1.0, abs(sol.objective))
+
+
+def test_a_live_model_keeps_its_own_copy_of_each_rhs():
+    if msrisk.lp._HIGHS is None:
+        pytest.skip("scipy ships no HiGHS bindings to hold a model")
+    # min x  s.t.  x = b
+    b = np.array([1.0])
+    live = ResolvableLp(np.array([1.0]), np.array([[1.0]]), b)
+    b[0] = 3.0  # the array the model was built from, edited in place
+    assert live.solve(b).objective == 3.0
+    rhs = np.array([2.0])
+    assert live.solve(rhs).objective == 2.0
+    rhs[0] = 5.0  # an array already passed to solve, edited in place
+    assert live.solve(rhs).objective == 5.0
+
+
+GAVE_UP = r"^LP solve failed: (HiGHS status kOptimal|forced) \(the LP is saved in \S+\.mps\)$"
+
+
+def test_a_live_model_highs_gives_up_on_is_saved(monkeypatch):
+    if msrisk.lp._HIGHS is None:
+        pytest.skip("scipy ships no HiGHS bindings to write or read the model")
+    # min -x - y  s.t.  x - y = 1,  x + y <= 4,  x, y >= 0: optimum -4
+    live = ResolvableLp(np.array([-1.0, -1.0]), np.array([[1.0, -1.0]]), np.array([1.0]),
+                        A_ub=np.array([[1.0, 1.0]]), b_ub=np.array([4.0]))
+    monkeypatch.setattr(msrisk.lp, "_HIGHS_STATUS", {})  # no status is a verdict
+    with pytest.raises(LpError, match=GAVE_UP) as err:
+        live.solve(np.array([1.0]))
+    h = read_saved(str(err.value))
+    assert (h.getLp().num_col_, h.getLp().num_row_) == (2, 2)
+    h.run()
+    assert abs(h.getObjectiveValue() + 4.0) < 1e-9
+
+
+def test_an_lp_linprog_gives_up_on_is_saved(monkeypatch):
+    if msrisk.lp._HIGHS is None:
+        pytest.skip("scipy ships no HiGHS bindings to write or read the model")
+    # the moment-dual LP has no equality rows
+    amb = MomentAmbiguitySet.from_empirical([(0.2, 0.5), (0.8, 0.3)], [0.5, 0.5])
+    values, weights = [1.0, -2.0, 0.5], amb.stage_weights(3)
+    want = worst_case_arsrm(values, amb, weights)
+    calls = []
+
+    def gives_up(c, *args, **kwargs):
+        calls.append(kwargs.get("options"))
+        return SimpleNamespace(status=4, message="forced")
+
+    monkeypatch.setattr(msrisk.lp, "linprog", gives_up)
+    with pytest.raises(LpError, match=GAVE_UP) as err:
+        worst_case_arsrm(values, amb, weights)
+    assert calls == [None, {"presolve": False}]  # the cold retry came first
+    h = read_saved(str(err.value))
+    h.run()
+    assert abs(h.getObjectiveValue() - want) <= 1e-9 * max(1.0, abs(want))
