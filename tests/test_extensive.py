@@ -395,6 +395,28 @@ def spy_linprog(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("kind", ["marsrm", "dr"])
+def test_full_tree_oracles_price_with_dantzig(monkeypatch, kind):
+    if msrisk.lp._HIGHS is None:
+        pytest.skip("scipy ships no HiGHS bindings to hold a model")
+    inst = oracle_instance("t3-voronoi")
+    lat, prefs, ambs = inst.lattice, inst.preferences, inst.ambiguities
+    if kind == "marsrm":
+        risk, dense = _marsrm_risk(lat, prefs)[0], marsrm_tree_risk(lat, prefs)
+        solve = lambda: extensive_form_marsrm(lat, prefs)  # noqa: E731
+    else:
+        risk, dense = _dr_risk(lat, ambs)[0], dr_tree_risk(lat, ambs)
+        solve = lambda: extensive_form_dr(lat, ambs)  # noqa: E731
+    n = _check_size(lat, 1, _node_layouts(lat, risk))
+    want = tree_model(lat, dense, 1, 0, lat.x0).solve().objective  # cold, dense reference
+    models, calls = spy_models(monkeypatch), spy_linprog(monkeypatch)
+    got = solve()
+    # the tree LP is one held model priced with Dantzig, never a linprog LP
+    assert [lp._highs.getLp().num_col_ for lp in models] == [n]
+    assert pricing(models[0]) == 0 and not calls
+    assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
 def test_every_oracle_model_prices_with_dantzig(monkeypatch):
     if msrisk.lp._HIGHS is None:
         pytest.skip("scipy ships no HiGHS bindings to hold a model")
