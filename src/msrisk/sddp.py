@@ -145,10 +145,14 @@ class TrainOptions:
 
     def check(self, horizon: int) -> None:
         """Raise ``ValueError`` unless the options fit a ``horizon``-stage run."""
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
-        if self.n_paths < 1:
-            raise ValueError(f"n_paths must be at least 1, got {self.n_paths}")
+        for name in ("max_iterations", "n_paths"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+        if not (np.isfinite(self.big) and self.big > 0.0):  # the floor cut's depth
+            raise ValueError(f"big must be finite and positive, got {self.big!r}")
         if self.lipschitz is not None:
             lip = np.asarray(self.lipschitz, dtype=float)
             if lip.ndim > 1 or (lip.ndim == 1 and lip.size != horizon - 1):
@@ -250,9 +254,10 @@ class BoundIteration:
     ``BoundIteration`` builds every LP with ``LpModel``: it adds the
     decision columns ``x`` and the balance rows, the hooks add the rest. The upper
     sweep makes one envelope call per stage, for all of the stage's states.
-    Where each scenario has its own envelope columns (DR below stage 1), the
-    call holds one live model per scenario ``A`` and ``c`` and re-solves it,
-    warm, at each state's balance rhs; otherwise it solves a state's K
+    Below stage 1, a call over several states (the final refresh, several
+    paths) or with one envelope per scenario (DR) holds one live model per
+    scenario ``A`` and ``c`` and re-solves it, warm, at each state's balance
+    rhs; a single-state MARSRM call and the stage-1 call solve the K
     scenario LPs as one block-diagonal LP. Each
     stage keeps one live model, re-solved warm per state and grown in place
     by its pools' new cuts; it is rebuilt when the scenario's ``A`` or ``c``
@@ -331,11 +336,14 @@ class BoundIteration:
         scenario LPs share no row, and the l1 and ``sum(lam_e)`` rows are one
         block built once per call. The call builds at most one live
         ``ResolvableLp`` per scenario ``A`` and ``c``, and re-solves it warm at
-        each balance rhs. With scenario-wise envelopes (E > 1) below stage 1,
-        every state is solved that way. Otherwise (E = 1, or the one stage-1
-        LP per sweep) a state's K LPs are solved cold as one block-diagonal
+        each balance rhs. Below stage 1, a call over several states or with
+        E > 1 solves every state that way. Otherwise (the stage-1 call, or
+        one state with E = 1) the K LPs are solved cold as one block-diagonal
         LP, and scenario j's value is ``c_j . x_j`` over its block; only a
-        state whose block LP is not optimal goes through the live models. The
+        state whose block LP is not optimal goes through the live models.
+        Those single-state calls stay on the block LP because the benchmark's
+        tracer counts LP solves and simplex iterations only through
+        ``linprog``; routed live, a traced MARSRM run would read none. The
         first scenario that is not optimal raises the ``RecourseError``, with
         its model saved.
         """
@@ -384,7 +392,7 @@ class BoundIteration:
 
         out = np.empty((len(states), K))
         for i, x_prev in enumerate(states):
-            if t == 1 or E == 1:
+            if t == 1 or (E == 1 and len(states) == 1):
                 block = arrays(range(K), x_prev)
                 sol = solve_arrays(*block)
                 if sol.is_optimal:

@@ -1,13 +1,16 @@
 """The upper sweep's envelope LPs against per-scenario references.
 
 ``BoundIteration._envelope_values`` solves a stage's K scenario envelope LPs
-at each state of a group, one call per stage of a sweep. With scenario-wise
-envelopes (DR below stage 1, when the next stage has more than one scenario)
-it re-solves one live model per scenario ``A`` and ``c``, built within the
-call; otherwise it solves a state's K LPs as one block-diagonal LP, and only
-a state whose block LP is not optimal goes through those live models. It
-writes the l1 rows and slacks only for coordinates with a positive penalty,
-and DR's support rows read one level sum per CVaR level. These tests check
+at each state of a group, one call per stage of a sweep. Below stage 1, a
+call over several states (MARSRM's final refresh) or with scenario-wise
+envelopes (DR, when the next stage has more than one scenario) re-solves one
+live model per scenario ``A`` and ``c``, built within the call. A call over
+one state with one envelope column, and the stage-1 call, solve the K LPs as
+one block-diagonal LP, and only a state whose block LP is not optimal goes
+through those live models; those calls stay on the block LP while the
+benchmark's tracer counts only ``linprog``'s solves. It writes the l1 rows
+and slacks only for coordinates with a positive penalty, and DR's support
+rows read one level sum per CVaR level. These tests check
 its values against the literal per-scenario LPs of
 ``references.envelope_subproblem``, which keeps every row, also under a zero
 penalty and a penalty that is zero on a coupled coordinate, and count the
@@ -15,7 +18,9 @@ cold and live solves; that each call builds one live model per scenario
 ``A`` and ``c`` it needs, whatever an earlier call built; that block j of
 the block LP is scenario j's own LP, the one its live model solves when the
 block fails, with nothing off the diagonal, and that the live model solved
-for scenario j has scenario j's ``A`` and ``c``; that a failure names the
+for scenario j has scenario j's ``A`` and ``c``; that a MARSRM refresh makes
+no block LP; that without the HiGHS class a multi-state call and a short run
+match the HiGHS-class route; that a failure names the
 first failing scenario and saves its LP alone; that a DR run starts no
 thread; and that every archived value stays above the cut model at its
 state.
@@ -71,11 +76,12 @@ def check_against_reference(eng, t, states, archive, penalty, got):
         np.testing.assert_array_less(np.abs(row - ref), 1e-9 * np.maximum(1.0, np.abs(ref)))
 
 
-def scenario_wise(t, archive):
-    """Whether the stage-t envelope call re-solves live models: below stage 1,
-    with one envelope column per next-stage scenario, more than one."""
+def on_live_models(t, states, archive):
+    """Whether the stage-t envelope call over ``states`` re-solves live
+    models: below stage 1, unless it certifies one state and has one envelope
+    column (MARSRM, or DR before a one-scenario stage)."""
     X, V = archive
-    return t > 1 and np.reshape(V, (len(X), -1)).shape[1] > 1
+    return t > 1 and (len(states) > 1 or np.reshape(V, (len(X), -1)).shape[1] > 1)
 
 
 def distinct_models(eng, t):
@@ -122,9 +128,9 @@ def count_cold(monkeypatch, fail=()):
 
 def check_envelope_values(eng, monkeypatch, penalty_at=None):
     """Each stage's envelope call of an upper sweep against the reference
-    values. A scenario-wise call makes K live solves per state, no
+    values. A call on live models makes K live solves per state, no
     ``solve_arrays`` call, and one build per distinct scenario ``A`` and
-    ``c``; any other call one ``solve_arrays`` call per state and no live
+    ``c``; any other call (one state) one ``solve_arrays`` call and no live
     model. ``penalty_at(t)`` replaces the penalty."""
     built, solved = record_live(monkeypatch)
     cold = count_cold(monkeypatch)
@@ -136,7 +142,7 @@ def check_envelope_values(eng, monkeypatch, penalty_at=None):
         del built[:], solved[:], cold[:]
         got = eng._envelope_values(t, states, archive, penalty)
         K = eng.lattice.size(t)
-        if scenario_wise(t, archive):
+        if on_live_models(t, states, archive):
             assert (len(cold), len(solved)) == (0, K * len(states))
             assert len(built) == distinct_models(eng, t)
         else:  # one block-diagonal LP for all K scenarios
@@ -185,7 +191,7 @@ def test_envelope_values_with_an_unpriced_coupled_coordinate(kind, monkeypatch):
 @pytest.mark.parametrize("make_lattice", [lattice, costed_lattice, narrowing_lattice])
 def test_block_lp_holds_each_scenarios_own_lp(kind, make_lattice, monkeypatch):
     # the block LP is reported infeasible, so every scenario's own LP is solved
-    # on the live model of its A and c; a scenario-wise call solves those alone
+    # on the live model of its A and c; a call on live models solves those alone
     eng = engine(kind, make_lattice())
     eng.run()
     built, solved = record_live(monkeypatch)
@@ -193,7 +199,7 @@ def test_block_lp_holds_each_scenarios_own_lp(kind, make_lattice, monkeypatch):
         states, archive, penalty = envelope_calls(eng, t)
         del built[:], solved[:]
         want = eng._envelope_values(t, states[-1:], archive, penalty)
-        if scenario_wise(t, archive):
+        if on_live_models(t, states[-1:], archive):
             check_held_models(eng, t, states[-1], archive, penalty, built, solved)
             continue
         assert not built and not solved
@@ -259,9 +265,10 @@ def check_held_models(eng, t, x_prev, archive, penalty, built, solved):
 
 @pytest.mark.parametrize("make_lattice", [lattice, priced_lattice, costed_lattice])
 def test_failed_block_lp_takes_its_values_from_the_live_models(make_lattice, monkeypatch):
-    # a MARSRM block LP comes back non-optimal once, at the second state of a
-    # stage's group: that state's K values come from the live models, one
-    # per scenario A and c, and match the reference; the other states' do not
+    # single-state MARSRM calls, the ones left on the block LP, one per state
+    # of a stage's group; the second call's block LP comes back non-optimal:
+    # that state's K values come from the live models, one per scenario A and
+    # c, and match the reference; the other calls build and solve none
     eng = engine("marsrm", make_lattice())
     eng.run()
     built, solved = record_live(monkeypatch)
@@ -270,16 +277,70 @@ def test_failed_block_lp_takes_its_values_from_the_live_models(make_lattice, mon
         states, archive, penalty = envelope_calls(eng, t)
         if len(states) < 3:
             continue
-        del built[:], solved[:]
         cold = count_cold(monkeypatch, fail=(1,))
-        got = eng._envelope_values(t, states, archive, penalty)
         K = eng.lattice.size(t)
-        assert (len(cold), len(solved), len(built)) == (len(states), K, distinct_models(eng, t))
-        for (_, rhs), r in zip(solved, eng.lattice.stage(t)):  # all at the failed state
-            np.testing.assert_array_equal(rhs[: r.b.size], r.b - r.E @ states[1])
-        check_against_reference(eng, t, states, archive, penalty, got)
+        for i, x_prev in enumerate(states):
+            del built[:], solved[:]
+            got = eng._envelope_values(t, [x_prev], archive, penalty)
+            live = (K, distinct_models(eng, t)) if i == 1 else (0, 0)
+            assert (len(cold), len(solved), len(built)) == (i + 1, *live)
+            for (_, rhs), r in zip(solved, eng.lattice.stage(t)):  # at the failed state
+                np.testing.assert_array_equal(rhs[: r.b.size], r.b - r.E @ x_prev)
+            check_against_reference(eng, t, [x_prev], archive, penalty, got)
         checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize("make_lattice", [lattice, priced_lattice, costed_lattice])
+def test_marsrm_refresh_solves_on_live_models(make_lattice, monkeypatch):
+    # a final refresh: each MARSRM call over three or more states makes no
+    # block LP, K live solves per state and one build per scenario A and c
+    eng = engine("marsrm", make_lattice())
+    eng.run()
+    built, solved = record_live(monkeypatch)
+    cold = count_cold(monkeypatch)
+    envelope, sizes = eng._envelope_values, []
+
+    def counted(t, states, archive, penalty):
+        del built[:], solved[:], cold[:]
+        got = envelope(t, states, archive, penalty)
+        if len(states) >= 3:
+            K = eng.lattice.size(t)
+            assert (len(cold), len(solved)) == (0, K * len(states))
+            assert len(built) == distinct_models(eng, t)
+            check_against_reference(eng, t, states, archive, penalty, got)
+            sizes.append(len(states))
+        return got
+
+    eng._envelope_values = counted
+    eng.upper_sweep(None)
+    assert sizes
+
+
+@pytest.mark.parametrize("make_lattice", [lattice, costed_lattice])
+def test_marsrm_envelope_without_highs_matches_the_highs_class(make_lattice, monkeypatch):
+    # without the HiGHS class each live model re-solves through linprog: a
+    # multi-state call and a short run's bound columns match the HiGHS route
+    if msrisk.lp._HIGHS is None:
+        pytest.skip("scipy ships no HiGHS class to compare the fallback with")
+    lat = make_lattice()
+    eng = engine("marsrm", lat)
+    report = eng.run()
+    t = max(range(2, eng.T), key=lambda t: len(eng.visited[t - 1]))
+    states, archive, penalty = envelope_calls(eng, t)
+    assert len(states) >= 3
+    want = eng._envelope_values(t, states, archive, penalty)
+    monkeypatch.setattr(msrisk.lp, "_HIGHS", None)
+    cold = count_cold(monkeypatch)
+    got = eng._envelope_values(t, states, archive, penalty)
+    assert not cold  # no block LP: each scenario's own LP, through linprog
+    np.testing.assert_array_less(np.abs(got - want), 1e-9 * np.maximum(1.0, np.abs(want)))
+    check_against_reference(eng, t, states, archive, penalty, got)
+    fallback = engine("marsrm", lat).run()
+    assert fallback.cuts == report.cuts
+    for column in ("lower", "upper", "gap"):
+        got, want = np.array(getattr(fallback, column)), np.array(getattr(report, column))
+        np.testing.assert_array_less(np.abs(got - want), 1e-9 * np.maximum(1.0, np.abs(want)))
 
 
 def infeasible_from_scenario(lat, t=2, count=1):
@@ -418,8 +479,8 @@ def test_archived_values_dominate_the_cut_model(kind, seed):
 def test_live_envelope_models_match_a_cold_reference(make_lattice, monkeypatch):
     # a full refresh, then, per stage, a shifted archive and a doubled penalty
     # at visited and perturbed states: every value against the reference; each
-    # scenario-wise call builds one live model per distinct scenario A and c,
-    # whatever the calls before it built, and any other call builds none
+    # call on live models builds one per distinct scenario A and c, whatever
+    # the calls before it built, and any other call builds none
     eng = engine("dr", make_lattice())
     eng.run()
     built, _ = record_live(monkeypatch)
@@ -428,7 +489,8 @@ def test_live_envelope_models_match_a_cold_reference(make_lattice, monkeypatch):
     def checked(t, states, archive, penalty, variant="refresh"):
         built.clear()
         got = envelope(t, states, archive, penalty)
-        assert len(built) == (distinct_models(eng, t) if scenario_wise(t, archive) else 0)
+        live = on_live_models(t, states, archive)
+        assert len(built) == (distinct_models(eng, t) if live else 0)
         check_against_reference(eng, t, states, archive, penalty, got)
         calls.append((t, variant))
         return got

@@ -358,6 +358,12 @@ def test_signed_zero_states_share_one_key():
         (TrainOptions(lipschitz=[5.0]), "3 values"),
         (TrainOptions(lipschitz=[1.0, -1.0, 1.0]), "nonnegative"),
         (TrainOptions(lipschitz=float("nan")), "nonnegative"),
+        (TrainOptions(n_paths=1.5), "n_paths must be an integer"),
+        (TrainOptions(max_iterations=2.5), "max_iterations must be an integer"),
+        (TrainOptions(big=float("nan")), "big must be finite and positive"),
+        (TrainOptions(big=float("inf")), "big must be finite and positive"),
+        (TrainOptions(big=0.0), "big must be finite and positive"),
+        (TrainOptions(big=-1e9), "big must be finite and positive"),
     ],
 )
 def test_invalid_options_rejected_at_construction(options, message):
