@@ -213,11 +213,15 @@ def _build_preferences(cfg: AssetInstanceConfig, rng: RngStream):
         return [pref for _ in stages]
     for key in ("centers", "samples"):  # voronoi; only a value set in the config can be wrong
         _check_numbers(f"preference.{key}", spec.get(key, 1), "iu", scalar=True)
+    beta = spec.get("beta", (2.0, 2.0))
+    _check_numbers("preference.beta", beta, "iuf")
+    if np.shape(beta) != (2,) or not np.min(beta) > 0:
+        raise ValueError(f"config key 'preference.beta' must be two positive numbers, not {beta!r}")
     return [
         build_preference_voronoi(
             spec.get("centers", 10),
             spec.get("samples", 1000),
-            tuple(spec.get("beta", (2.0, 2.0))),
+            tuple(beta),
             rng,
             stage=t,
             spectrum_builder=builder,

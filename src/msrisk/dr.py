@@ -1,23 +1,24 @@
 """Distributionally robust stage preferences over moment ambiguity sets.
 
 The stage risk is the worst case of the CVaR combination over all preference
-weights matching a given mean and covariance on a finite support. Strong
-duality turns the inner sup into a small set of dual variables and support
-rows, the moment-dual block, which :func:`moment_dual_block` builds once per
-stage. ``DrSddp`` plugs that block into the shared bound iteration of
-:mod:`msrisk.sddp` as its stage risk block, whose columns and rows its hooks
-add to the stage and envelope LPs' ``LpModel``, with one cut pool per scenario
-(the dual block couples scenarios inside each LP, so cuts must stay
-scenario-wise) and scenario-wise upper envelopes. Per-scenario solves within
-a backward step are independent; appends happen in fixed scenario order, so
-runs are schedule-independent and seed-reproducible. Below stage 1, where the
-next stage has more than one scenario, each stage's envelope call of the upper
-sweep builds one live envelope model per scenario ``A`` and ``c`` and
-re-solves it warm at each of the stage's states, as only the balance rhs
-changes (see ``BoundIteration._envelope_values``); the engine holds no
-envelope model between calls. The support rows of every robust LP (stage,
-envelope and ``worst_case_arsrm``) read the level sums, which keeps the stage
-LPs that the engine holds live small.
+weights matching a given mean and covariance on a finite support, a set shown
+nonempty by a least-squares member if its moment system has full row rank,
+else by one LP. Strong duality turns the inner sup into a few dual variables
+and support rows, the moment-dual block, which :func:`moment_dual_block`
+builds once per stage. ``DrSddp`` plugs that block into the shared bound
+iteration of :mod:`msrisk.sddp` as its stage risk block, whose columns and
+rows its hooks add to the stage and envelope LPs' ``LpModel``, with one cut
+pool per scenario (the dual block couples scenarios inside each LP, so cuts
+must stay scenario-wise) and scenario-wise upper envelopes. Per-scenario
+solves within a backward step are independent; appends happen in fixed
+scenario order, so runs are schedule-independent and seed-reproducible. Below
+stage 1, where the next stage has more than one scenario, each stage's
+envelope call of the upper sweep builds one live envelope model per scenario
+``A`` and ``c`` and re-solves it warm at each of the stage's states, as only
+the balance rhs changes (see ``BoundIteration._envelope_values``); the engine
+holds no envelope model between calls. The support rows of every robust LP
+(stage, envelope and ``worst_case_arsrm``) read the level sums, which keeps
+the stage LPs that the engine holds live small.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .risk import (
     StepSpectrum,
     arsrm_weights,
     combination_spectrum,
+    preference_probs,
 )
 from .scenario import ScenarioLattice
 from .sddp import BoundIteration, Cut, CutPool, TrainReport, _require_equiprobable_stages
@@ -46,9 +48,10 @@ class MomentAmbiguitySet:
 
     ``support`` holds the observed preference states ``s_l = (lam, alpha)``;
     membership requires ``q >= 0``, ``sum q = 1``, ``sum q s = mu`` and
-    ``sum q (s - mu)(s - mu)' = Sigma``. Nonemptiness is certified with one
-    feasibility LP at construction. Each support point carries its spectrum so
-    the induced CVaR-combination weights are fixed by the set itself.
+    ``sum q (s - mu)(s - mu)' = Sigma``. Construction certifies a member: the
+    least-norm solution of a full-row-rank moment system if it is one (uniform
+    weights are, for their moments), else a feasibility LP. Each support point
+    carries its spectrum, so the set fixes its CVaR-combination weights.
     """
 
     support: np.ndarray
@@ -78,23 +81,21 @@ class MomentAmbiguitySet:
         object.__setattr__(self, "Sigma", Sig)
         object.__setattr__(self, "spectra", spectra)
         M, m = self.moment_system()
-        if not solve_arrays(np.zeros(self.size), A_eq=M, b_eq=m).is_optimal:
-            raise ValueError(
-                "moment conditions admit no distribution on the given support"
-            )
+        member = np.linalg.matrix_rank(M) == len(m) and _least_norm_member(M, m) is not None
+        if not member and not solve_arrays(np.zeros(self.size), A_eq=M, b_eq=m).is_optimal:
+            raise ValueError("moment conditions admit no distribution on the given support")
 
     @classmethod
     def from_empirical(
         cls, support, probs, spectrum_builder=combination_spectrum
     ) -> "MomentAmbiguitySet":
-        """Moments of the empirical distribution ``probs`` on ``support``."""
+        """Moments of the empirical distribution ``probs`` (checked) on ``support``."""
         pts = np.atleast_2d(np.asarray(support, dtype=float))
-        q = np.asarray(probs, dtype=float).ravel()
+        q = preference_probs(probs, pts.shape[0])
         mu = q @ pts
         d = pts - mu
         Sigma = (d * q[:, None]).T @ d
-        spectra = tuple(spectrum_builder(lam, a) for lam, a in pts)
-        return cls(support=pts, mu=mu, Sigma=Sigma, spectra=spectra)
+        return cls(pts, mu, Sigma, tuple(spectrum_builder(lam, a) for lam, a in pts))
 
     @property
     def size(self) -> int:
@@ -136,12 +137,8 @@ class MomentAmbiguitySet:
     def pinned_q(self) -> Optional[np.ndarray]:
         """The unique member, when the moment system pins one; else None."""
         M, m = self.moment_system()
-        if np.linalg.matrix_rank(M, tol=1e-9) < self.size:
-            return None
-        q, *_ = np.linalg.lstsq(M, m, rcond=None)
-        if np.max(np.abs(M @ q - m)) > 1e-8 or np.min(q) < -1e-9:
-            return None
-        return q
+        pinned = np.linalg.matrix_rank(M, tol=1e-9) == self.size  # full column rank
+        return _least_norm_member(M, m) if pinned else None
 
     def stage_weights(self, K: int) -> ArsrmWeights:
         """CVaR-combination weights of the support spectra on K equiprobable atoms.
@@ -156,6 +153,14 @@ class MomentAmbiguitySet:
             spectra=self.spectra,
         )
         return arsrm_weights(K, pref)
+
+
+def _least_norm_member(M: np.ndarray, m: np.ndarray) -> Optional[np.ndarray]:
+    """Least-norm solution of ``M q = m`` if a member within 1e-8 and -1e-9; else None."""
+    q, *_ = np.linalg.lstsq(M, m, rcond=None)
+    if np.max(np.abs(M @ q - m)) > 1e-8 or q.min() < -1e-9:
+        return None
+    return q
 
 
 def resolve_ambiguities(lattice: ScenarioLattice, ambs) -> tuple[dict, dict]:

@@ -12,6 +12,7 @@ values are loss-oriented, i.e. larger outcomes are worse.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -171,13 +172,14 @@ class StepSpectrum:
             raise ValueError("need one more breakpoint than levels")
         if abs(z[0]) > 0.0 or abs(z[-1] - 1.0) > 0.0:
             raise ValueError("breakpoints must start at 0 and end at 1")
-        if np.any(np.diff(z) <= 0.0):
+        dz = z[1:] - z[:-1]
+        if dz.min() <= 0.0:
             raise ValueError("breakpoints must be strictly increasing")
-        if np.any(lev < -1e-12):
+        if lev.min() < -1e-12:
             raise ValueError("spectrum levels must be nonnegative")
-        if np.any(np.diff(lev) < -1e-12):
+        if (lev[1:] - lev[:-1]).min(initial=0.0) < -1e-12:  # one level: no step
             raise ValueError("spectrum levels must be nondecreasing")
-        total = float(lev @ np.diff(z))
+        total = float(lev @ dz)
         if abs(total - 1.0) > SPECTRUM_NORM_TOL:
             raise ValueError(f"spectrum integrates to {total!r}, expected 1")
 
@@ -208,6 +210,11 @@ def combination_spectrum(lam: float, alpha: float) -> StepSpectrum:
     )
 
 
+@lru_cache(maxsize=8)  # one grid per builder's J, shared read-only
+def _uniform_grid(J: int) -> np.ndarray:
+    return _readonly(np.linspace(0.0, 1.0, J + 1))
+
+
 def project_spectrum(lam: float, alpha: float, J: int) -> StepSpectrum:
     """Project the E/CVaR combination spectrum onto the uniform J-cell grid.
 
@@ -222,7 +229,7 @@ def project_spectrum(lam: float, alpha: float, J: int) -> StepSpectrum:
         raise ValueError(f"alpha must be in [0, 1), got {alpha!r}")
     if J < 1:
         raise ValueError(f"J must be at least 1, got {J!r}")
-    grid = np.linspace(0.0, 1.0, J + 1)
+    grid = _uniform_grid(J)
     i = min(int(np.floor(alpha * J)), J - 1)
     high = lam + (1.0 - lam) / (1.0 - alpha)
     zi, zi1 = grid[i], grid[i + 1]
@@ -238,6 +245,20 @@ def srm(dist: DiscreteDistribution, spectrum: StepSpectrum) -> float:
     """Spectral risk ``sum_k xi_k * integral_{pi_k}^{pi_{k+1}} sigma(z) dz``."""
     psi = spectrum.cell_integrals(dist.cumulative())
     return float(psi @ dist.outcomes)
+
+
+def preference_probs(probs, size: int) -> np.ndarray:
+    """``probs`` (None: uniform) as ``size`` weights, each nonnegative, summing to 1."""
+    if probs is None:
+        return np.full(size, 1.0 / size)
+    q = np.asarray(probs, dtype=float).ravel()
+    if q.shape[0] != size:
+        raise ValueError(f"support and probs must have equal length, not {size} and {q.size}")
+    if np.any(q < 0.0):
+        raise ValueError("probs must be nonnegative")
+    if abs(q.sum() - 1.0) > PROB_SUM_TOL:
+        raise ValueError(f"probs sum to {float(q.sum())!r}, expected 1")
+    return q
 
 
 @dataclass(frozen=True)
@@ -262,16 +283,7 @@ class PreferenceDistribution:
         pts = np.atleast_2d(np.asarray(support, dtype=float))
         if pts.shape[1] != 2:
             raise ValueError("support points must be (lam, alpha) pairs")
-        if probs is None:
-            q = np.full(pts.shape[0], 1.0 / pts.shape[0])
-        else:
-            q = np.asarray(probs, dtype=float).ravel()
-            if q.shape[0] != pts.shape[0]:
-                raise ValueError("support and probs must have equal length")
-            if np.any(q < 0.0):
-                raise ValueError("preference probabilities must be nonnegative")
-            if abs(q.sum() - 1.0) > PROB_SUM_TOL:
-                raise ValueError("preference probabilities must sum to 1")
+        q = preference_probs(probs, pts.shape[0])
         spectra = tuple(spectrum_builder(lam, a) for lam, a in pts)
         return cls(support=_readonly(pts), probs=_readonly(q), spectra=spectra)
 

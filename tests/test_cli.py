@@ -229,6 +229,36 @@ def test_missing_config_is_usage_error(capsys):
             {"horizon": 2, "scenarios_per_stage": 3, "assets": 3, "sigma": [0.2, 0.3]},
             "config key 'sigma' must be one value or a list of 3, one per asset",
         ),
+        # empirical weights are checked as preference weights are, not
+        # left to numpy's matmul error or to the moment LP
+        (
+            {"horizon": 2, "scenarios_per_stage": 3,
+             "ambiguity": {"kind": "empirical", "support": [[0.2, 0.5], [0.8, 0.3]],
+                           "probs": [0.5, 0.5, 0.0]}},
+            "support and probs must have equal length, not 2 and 3",
+        ),
+        (
+            {"horizon": 2, "scenarios_per_stage": 3,
+             "ambiguity": {"kind": "empirical", "support": [[0.2, 0.5], [0.8, 0.3]],
+                           "probs": [0.7, 0.7]}},
+            "probs sum to 1.4, expected 1",
+        ),
+        # the Beta parameters of a Voronoi preference are two positive numbers
+        (
+            {"horizon": 2, "scenarios_per_stage": 3,
+             "preference": {"kind": "voronoi", "beta": 2.0}},
+            "config key 'preference.beta' must be two positive numbers, not 2.0",
+        ),
+        (
+            {"horizon": 2, "scenarios_per_stage": 3,
+             "preference": {"kind": "voronoi", "beta": [2.0, 0.0]}},
+            "config key 'preference.beta' must be two positive numbers, not [2.0, 0.0]",
+        ),
+        (
+            {"horizon": 2, "scenarios_per_stage": 3,
+             "preference": {"kind": "voronoi", "beta": ["a", "b"]}},
+            "config key 'preference.beta' must be a number or a list, not ['a', 'b']",
+        ),
     ],
 )
 def test_malformed_config_is_usage_error(tmp_path, doc, reason, capsys):

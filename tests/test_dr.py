@@ -2,10 +2,15 @@
 
 from dataclasses import replace
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import msrisk.dr
+from msrisk.benchmark import AssetInstanceConfig, build_asset_instance
 from msrisk.dr import (
     DrSddp,
     MomentAmbiguitySet,
@@ -27,8 +32,9 @@ from msrisk.risk import (
     UnsupportedConfigurationError,
     arsrm_via_combination,
 )
+from msrisk.lp import solve_arrays
 from msrisk.scenario import RngStream, ScenarioLattice, build_lognormal_lattice
-from msrisk.sddp import Cut, TrainOptions
+from msrisk.sddp import Cut, MarsrmSddp, TrainOptions
 from references import dr_stage_subproblem, dr_tree_risk
 
 
@@ -73,7 +79,7 @@ class TestMomentAmbiguitySet:
 
     def test_infeasible_moments_rejected(self):
         support = [(0.2, 0.2), (0.8, 0.8)]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^moment conditions admit no distribution"):
             MomentAmbiguitySet(
                 support=np.asarray(support),
                 mu=np.array([0.5, 0.5]),
@@ -90,6 +96,99 @@ class TestMomentAmbiguitySet:
         support = np.array([[0.2, 0.3], [0.2, 0.3], [0.7, 0.6]])
         amb2 = MomentAmbiguitySet.from_empirical(support, [0.25, 0.25, 0.5])
         assert amb2.pinned_q() is None
+
+
+def counted_moment_lps():
+    """Patches the feasibility LP of moment sets to count its calls."""
+    return mock.patch.object(msrisk.dr, "solve_arrays", side_effect=solve_arrays)
+
+
+def moment_rows(support, mu, Sigma):
+    """Membership system of a two-dimensional moment set, written out."""
+    d = support - mu
+    M = np.vstack([np.ones(len(support)), support.T, d[:, 0] ** 2, d[:, 0] * d[:, 1],
+                   d[:, 1] ** 2])
+    return M, np.array([1.0, *mu, Sigma[0, 0], Sigma[0, 1], Sigma[1, 1]])
+
+
+class TestNonemptiness:
+    def test_criterion_5_set_up_solves_no_lp(self):
+        # each sampled set's uniform weights are its least-norm member
+        cfg = AssetInstanceConfig(
+            horizon=10, assets=4, mu=0.6, sigma=0.3, corr=0.5, transaction_cost=0.003,
+            scenarios_per_stage=10,
+            preference={"kind": "voronoi", "centers": 10, "samples": 1000},
+            ambiguity={"kind": "sampled", "size": [10 * t for t in range(2, 11)]},
+            spectrum_breakpoints=10, seed=2024,
+        )
+        options = TrainOptions(max_iterations=1, tolerance=0.0, n_paths=1, seed=1, big=1e6)
+        with counted_moment_lps() as lp:
+            inst = build_asset_instance(cfg)
+            MarsrmSddp(inst.lattice, prefs=inst.preferences, options=options)
+            DrSddp(inst.lattice, inst.ambiguities, options=options)
+        assert [amb.size for amb in inst.ambiguities] == [10 * t for t in range(2, 11)]
+        assert lp.call_count == 0
+
+    def test_member_with_a_negative_least_norm_solution_takes_one_lp(self):
+        # four corners carry all the weight; the least-norm solution of the
+        # moment system spreads some onto the inner points, below zero
+        support = np.array([[0.1, 0.1], [0.9, 0.1], [0.1, 0.8], [0.9, 0.8],
+                            [0.5, 0.45], [0.3, 0.6], [0.7, 0.2], [0.5, 0.1]])
+        q = np.array([0.25, 0.25, 0.25, 0.25, 0.0, 0.0, 0.0, 0.0])
+        mu = q @ support
+        Sigma = ((support - mu) * q[:, None]).T @ (support - mu)
+        least_norm, *_ = np.linalg.lstsq(*moment_rows(support, mu, Sigma), rcond=None)
+        assert least_norm.min() < -0.01
+        with counted_moment_lps() as lp:
+            amb = MomentAmbiguitySet(support=support, mu=mu, Sigma=Sigma)
+        assert lp.call_count == 1
+        M, m = amb.moment_system()
+        assert np.max(np.abs(M @ q - m)) < 1e-12
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 10),
+    st.booleans(),
+    st.integers(0, 2**31 - 1),
+    st.floats(0.001, 0.1),
+)
+def test_least_norm_route_accepts_what_the_lp_accepts(size, uniform, seed, step):
+    # an empirical set, then its Sigma pushed along a random symmetric
+    # direction until the support cannot attain it, and bisected back to
+    # where the LP's verdict flips; below six points the moment system is
+    # overdetermined, and there the LP rejects residuals far below the 1e-8
+    # that least squares would pass, so only the LP may judge those sets
+    rng = np.random.default_rng(seed)
+    support = rng.uniform(0.0, 1.0, (size, 2))
+    q = np.full(size, 1.0 / size) if uniform else rng.dirichlet(np.ones(size))
+    with counted_moment_lps() as lp:
+        amb = MomentAmbiguitySet.from_empirical(support, q)
+    if uniform and size >= 6:
+        assert lp.call_count == 0, "uniform weights are their moments' least-norm member"
+    direction = rng.normal(size=(2, 2))
+    direction = direction @ direction.T + np.eye(2) * rng.uniform(0.01, 1.0)
+
+    def accepted(scale):
+        Sigma = amb.Sigma + scale * direction
+        M, m = moment_rows(support, amb.mu, Sigma)
+        feasible = solve_arrays(np.zeros(size), A_eq=M, b_eq=m).is_optimal
+        try:
+            MomentAmbiguitySet(support=support, mu=amb.mu, Sigma=Sigma)
+        except ValueError as err:
+            assert str(err) == "moment conditions admit no distribution on the given support"
+            assert not feasible, f"rejected at scale {scale!r}, where the LP is feasible"
+            return False
+        assert feasible, f"accepted at scale {scale!r}, where the LP is infeasible"
+        return True
+
+    assert accepted(0.0)
+    lo, hi = 0.0, step
+    while accepted(hi):  # variances on the unit square stay below 1/4
+        lo, hi = hi, 2.0 * hi
+    for _ in range(30):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
 
 
 class TestWorstCase:

@@ -183,6 +183,23 @@ class TestStepSpectrum:
             b = srm(DiscreteDistribution.from_values(v + eps, p), spec)
             assert abs(b - a - eps) < 1e-9
 
+    @pytest.mark.parametrize(
+        "breakpoints, levels, message",
+        [
+            ([0.0, 1.0], [0.5, 0.5], "need one more breakpoint than levels"),
+            ([0.1, 1.0], [1.0 / 0.9], "breakpoints must start at 0 and end at 1"),
+            ([0.0, 0.5, 0.5, 1.0], [1.0, 1.0, 1.0], "breakpoints must be strictly increasing"),
+            ([0.0, 0.5, 1.0], [-0.5, 2.5], "spectrum levels must be nonnegative"),
+            ([0.0, 0.5, 1.0], [1.5, 0.5], "spectrum levels must be nondecreasing"),
+            ([0.0, 1.0], [0.9], "spectrum integrates to 0.9, expected 1"),
+        ],
+    )
+    def test_each_invariant_has_its_message(self, breakpoints, levels, message):
+        # the checks run in this order, so each case trips only its own
+        with pytest.raises(ValueError) as err:
+            StepSpectrum(np.array(breakpoints), np.array(levels))
+        assert str(err.value) == message
+
     def test_invariant_violations_rejected(self):
         with pytest.raises(ValueError):
             StepSpectrum(np.array([0.0, 0.5, 1.0]), np.array([2.0, 0.5]))  # decreasing

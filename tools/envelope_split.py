@@ -6,7 +6,9 @@ test's options, and reports the wall time of the half, of the per-iteration
 upper sweeps and of the final refresh (the last sweep, over every visited
 state). Per pass it also counts the envelope work, which does not depend on
 the machine: block-diagonal LPs solved through ``solve_arrays`` and the live
-envelope models built and re-solved inside ``_envelope_values``.
+envelope models built and re-solved inside ``_envelope_values``. It also
+reports the set-up, the instance build plus the engine's construction: its
+wall time and the feasibility LPs that the moment sets solve in it.
 
 Run from the repository root:
 
@@ -25,6 +27,7 @@ import argparse
 import json
 import time
 
+import msrisk.dr
 import msrisk.lp
 import msrisk.sddp
 from msrisk.benchmark import AssetInstanceConfig, build_asset_instance
@@ -48,8 +51,18 @@ COUNTS = ("block_lps", "live_builds", "live_solves")
 
 
 def counted_engine(engine, iterations):
-    """The engine on the criterion-5 instance, and a dict of per-pass
-    counts and times that its ``upper_sweep`` calls fill in."""
+    """The engine on the criterion-5 instance, a dict of per-pass counts and
+    times that its ``upper_sweep`` calls fill in, and the set-up's seconds
+    and moment-set LPs."""
+    setup = {"s": 0.0, "lps": 0}
+    moment_lp = msrisk.dr.solve_arrays
+
+    def counted_moment_lp(*args, **kwargs):
+        setup["lps"] += 1
+        return moment_lp(*args, **kwargs)
+
+    msrisk.dr.solve_arrays = counted_moment_lp
+    t0 = time.perf_counter()
     inst = build_asset_instance(AssetInstanceConfig(**CONFIG))
     options = TrainOptions(
         max_iterations=iterations, tolerance=0.0, n_paths=1, seed=CONFIG["seed"], big=1e6
@@ -58,6 +71,8 @@ def counted_engine(engine, iterations):
         eng = MarsrmSddp(inst.lattice, prefs=inst.preferences, options=options)
     else:
         eng = DrSddp(inst.lattice, inst.ambiguities, options=options)
+    setup["s"] = time.perf_counter() - t0
+    msrisk.dr.solve_arrays = moment_lp
     passes = {p: dict.fromkeys(("s", *COUNTS), 0) for p in ("sweeps", "refresh")}
     now = {"pass": None, "envelope": False}
 
@@ -102,7 +117,7 @@ def counted_engine(engine, iterations):
             passes[now["pass"]]["s"] += time.perf_counter() - t0
 
     eng._envelope_values, eng.upper_sweep = in_envelope, timed_sweep
-    return eng, passes
+    return eng, passes, setup
 
 
 def main(argv=None):
@@ -111,7 +126,7 @@ def main(argv=None):
     parser.add_argument("--iterations", type=int, default=100)
     parser.add_argument("--summary", action="store_true", help="print one Markdown line")
     args = parser.parse_args(argv)
-    eng, passes = counted_engine(args.engine, args.iterations)
+    eng, passes, setup = counted_engine(args.engine, args.iterations)
     t0 = time.perf_counter()
     report = eng.run()
     half = time.perf_counter() - t0
@@ -121,13 +136,15 @@ def main(argv=None):
             f"Criterion-5 {args.engine} half ({args.iterations} iterations): {half:.1f} s;"
             f" upper sweeps {sweeps['s']:.1f} s, final refresh {refresh['s']:.1f} s;"
             f" block envelope LPs {sweeps['block_lps']} + {refresh['block_lps']},"
-            f" live envelope solves {sweeps['live_solves']} + {refresh['live_solves']}"
+            f" live envelope solves {sweeps['live_solves']} + {refresh['live_solves']};"
+            f" set-up {setup['s'] * 1e3:.0f} ms, moment-set LPs {setup['lps']}"
         )
         return
     print(json.dumps({
         "engine": args.engine,
         "iterations": args.iterations,
         "half_s": half,
+        "setup": setup,
         "passes": passes,
         "final": {c: getattr(report, c)[-1] for c in ("cuts", "lower", "upper", "gap")},
     }, indent=1))
