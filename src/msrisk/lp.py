@@ -14,9 +14,11 @@ sensitivity convention for a minimization problem: the dual of a row is
 d(objective)/d(rhs). The backend is HiGHS: through scipy.optimize.linprog,
 or, for ``ResolvableLp``, one model kept alive in scipy's private HiGHS class,
 re-solved warm and grown in place (feature-detected, with ``solve_arrays`` as
-its fallback); callers never touch the backend. A solve that HiGHS gives up
-on, even after a cold retry without presolve, raises :class:`LpError` naming
-the ``.mps`` file its LP is saved in.
+its fallback, which rejects the same data); callers never touch the
+backend. A held model gets numpy arrays alone and reads a solution's arrays
+only on demand. A solve that HiGHS gives up on, even after a cold retry
+without presolve, raises :class:`LpError` naming the ``.mps`` file its LP is
+saved in.
 
 Pricing: every LP runs HiGHS's dual simplex with its default dual edge
 weights, except the oracles' tree LPs, which ``ResolvableLp(dantzig=True)``
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import tempfile
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -61,23 +64,10 @@ class LpSolution:
 _STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
-def solve_arrays(
-    c,
-    A_eq=None,
-    b_eq=None,
-    A_ub=None,
-    b_ub=None,
-    bounds=None,
-) -> LpSolution:
+def solve_arrays(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None, bounds=None) -> LpSolution:
     """Solve one LP given raw arrays. ``bounds`` defaults to x >= 0."""
-    kwargs = dict(
-        A_ub=A_ub,
-        b_ub=b_ub,
-        A_eq=A_eq,
-        b_eq=b_eq,
-        bounds=bounds if bounds is not None else (0, None),
-        method="highs",
-    )
+    bounds = bounds if bounds is not None else (0, None)
+    kwargs = dict(A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
     res = linprog(c, **kwargs)
     status = _STATUS.get(res.status)
     if status is None:
@@ -86,7 +76,7 @@ def solve_arrays(
         res = linprog(c, options={"presolve": False}, **kwargs)
         status = _STATUS.get(res.status)
         if status is None:
-            lp = ResolvableLp(np.asarray(c, dtype=float), A_eq, b_eq, A_ub, b_ub, kwargs["bounds"])
+            lp = ResolvableLp(np.asarray(c, dtype=float), A_eq, b_eq, A_ub, b_ub, bounds)
             raise LpError(f"LP solve failed: {res.message}{saved_note(lp)}")
     if status != "optimal":
         return LpSolution(status, None, None, None, None)
@@ -112,64 +102,121 @@ _HIGHS_STATUS = {"kOptimal": "optimal", "kInfeasible": "infeasible",
                  "kModelError": "infeasible", "kUnbounded": "unbounded"}
 
 
+class _HeldSolution(LpSolution):
+    """An optimal solution whose arrays are read from HiGHS's copy on first access."""
+
+    def __init__(self, solution, objective, eq):
+        self.status, self.objective, self._solution, self._eq = "optimal", objective, solution, eq
+
+    x = cached_property(lambda self: np.array(self._solution.col_value))
+    _duals = cached_property(lambda self: np.array(self._solution.row_dual))
+    eq_duals = property(lambda self: self._duals[self._eq])
+    ineq_duals = property(lambda self: np.delete(self._duals, self._eq)
+                          if self._duals.size > self._eq.stop - self._eq.start else None)
+
+
+def _finite(name, values) -> np.ndarray:
+    """``values`` as a float array; ValueError, as linprog raises, for inf or nan."""
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must not contain values inf or nan")
+    return values
+
+
+def _send_rows(send, rows, cols, vals, count, call) -> None:
+    """Hand HiGHS ``count`` rows of COO triplets via ``send(starts, columns,
+    values)``, as they are if in row order; else, or if HiGHS rejects them for
+    duplicates, sorted with duplicates summed in input order, as scipy does."""
+    if (not (rows[1:] >= rows[:-1]).all()
+            or send(np.searchsorted(rows, np.arange(count)), cols, vals).name == "kError"):
+        order = np.lexsort((cols, rows))
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        first = (np.diff(rows, prepend=-1) | np.diff(cols, prepend=-1)) != 0
+        rows, cols, summed = rows[first], cols[first], vals[first]
+        np.add.at(summed, np.cumsum(first)[~first] - 1, vals[~first])  # in order, as scipy adds
+        if send(np.searchsorted(rows, np.arange(count)), cols, summed).name == "kError":
+            raise LpError(f"HiGHS rejected {call}")
+
+
+def _triplets(a):
+    """``(rows, columns, values, row count)`` of a ``solve_arrays`` matrix or None."""
+    if a is None:
+        return np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32), np.empty(0), 0
+    a = a if getattr(a, "format", None) == "coo" else sparse.coo_array(a)
+    return a.row, a.col, a.data, a.shape[0]
+
+
 class ResolvableLp:
     """An LP held in HiGHS and re-solved for new equality right-hand sides.
 
     Built from ``solve_arrays``'s arrays in linprog's layout (rows ``[A_ub;
-    A_eq]``, CSC columns); ``A_eq`` and ``b_eq`` may be ``None``. The model
-    keeps its own copy of every ``b_eq`` it is given. ``solve(b_eq)`` changes
-    only the equality-row bounds that differ from the last ones, so HiGHS
-    starts from the previous basis and skips presolve; statuses and the cold
-    presolve-off retry match ``solve_arrays``, which does every solve when the
-    HiGHS class is missing. ``dantzig`` prices the dual simplex with
-    Dantzig's rule; the fallback ignores it and uses the default pricing.
-    While HiGHS holds the model (``grows``), ``add_inequalities`` appends
-    ``<=`` rows after all others and keeps the basis, so the balance rows'
-    range is tracked and ``ineq_duals`` holds every ``<=`` row in model order.
+    A_eq]``), handed to HiGHS row-wise and laid out by it as in
+    ``sparse.csc_array``; ``A_eq`` and ``b_eq`` may be ``None``. The model
+    keeps its own copy of every ``b_eq``. ``solve(b_eq)`` changes only the
+    equality-row bounds that differ from the last ones, so HiGHS starts from
+    the previous basis and skips presolve; statuses and the cold presolve-off
+    retry match ``solve_arrays``, which does every solve when the HiGHS class
+    is missing. An optimal solution reads ``x`` and the duals from its own
+    copy of HiGHS's solution when first accessed. ``dantzig`` prices the dual
+    simplex with Dantzig's rule; the fallback ignores it. While HiGHS holds
+    the model (``grows``), ``add_inequalities`` appends ``<=`` rows after all
+    others and keeps the basis, so ``ineq_duals`` holds every ``<=`` row in
+    model order. Inf or nan data or a rhs of the wrong length raise
+    ``ValueError``, as in linprog; data HiGHS rejects raises ``LpError``.
     """
 
     def __init__(self, c, A_eq, b_eq, A_ub=None, b_ub=None, bounds=(0, None), dantzig=False):
-        self._args, self._highs = (c, A_eq, A_ub, b_ub, bounds), None
+        self._args, self._highs = dict(c=c, A_eq=A_eq, A_ub=A_ub, b_ub=b_ub, bounds=bounds), None
         self.grows = _HIGHS is not None
         if _HIGHS is None:
             return
-        b_eq = np.array(b_eq if b_eq is not None else [], dtype=float)
-        # [A_ub; A_eq] from COO triplets, as sparse.vstack of COO blocks is slower
-        up, eq = (sparse.coo_array(a if a is not None else (0, c.size)) for a in (A_ub, A_eq))
-        m = up.shape[0]
-        self._eq, self._b_eq = slice(m, m + b_eq.size), b_eq
-        rows, cols = np.r_[up.row, eq.row + m], np.r_[up.col, eq.col]
-        A = sparse.csc_array((np.r_[up.data, eq.data], (rows, cols)), shape=(m + b_eq.size, c.size))
+        c, (up, eq) = _finite("c", c), (_triplets(a) for a in (A_ub, A_eq))
+        b_ub = _finite("b_ub", b_ub if A_ub is not None else [])
+        b_eq = _finite("b_eq", b_eq if b_eq is not None else [])
+        m = up[3]
+        if (b_ub.size, b_eq.size) != (m, eq[3]):
+            raise ValueError(f"rhs of {b_ub.size} and {b_eq.size} entries for {m} and {eq[3]} rows")
+        self._eq, self._b_eq = slice(m, m + b_eq.size), b_eq.copy()
         box = np.broadcast_to(np.array(bounds, dtype=float), (c.size, 2))  # None -> nan
         lb, ub = np.where(np.isnan(box), [-np.inf, np.inf], box).T
-        self._highs = _HIGHS()
-        self._highs.setOptionValue("output_flag", False)
-        self._highs.setOptionValue("simplex_strategy", 1)  # dual simplex, as in linprog
+        self._highs = h = _HIGHS()
+        h.setOptionValue("output_flag", False)
+        h.setOptionValue("simplex_strategy", 1)  # dual simplex, as in linprog
         if dantzig:
-            self._highs.setOptionValue("simplex_dual_edge_weight_strategy", 0)
-        self._highs.passModel(  # column-wise matrix, minimize, every column continuous
-            A.shape[1], A.shape[0], A.nnz, 1, 1, 0.0, np.asarray(c, dtype=float), lb, ub,
-            np.concatenate([np.full(m, -np.inf), b_eq]),
-            np.concatenate([b_ub if A_ub is not None else [], b_eq]),
-            A.indptr, A.indices, A.data, np.zeros(c.size, dtype=np.int32),
-        )
+            h.setOptionValue("simplex_dual_edge_weight_strategy", 0)
+        row_lower, row_upper = (np.concatenate([a, b_eq]) for a in (np.full(m, -np.inf), b_ub))
+
+        def send(starts, cols, vals):  # row-wise matrix, minimize, every column continuous
+            return h.passModel(c.size, m + b_eq.size, vals.size, 2, 1, 0.0, c, lb, ub, row_lower,
+                               row_upper, starts, cols, vals, np.zeros(c.size, dtype=np.int32))
+
+        vals = _finite("A", np.concatenate([up[2], eq[2]]))
+        rows, cols = np.concatenate([up[0], eq[0] + m]), np.concatenate([up[1], eq[1]])
+        _send_rows(send, rows, cols, vals, m + b_eq.size, "the model")
 
     def add_inequalities(self, indices, coefficients, rhs) -> None:
         """Append ``<=`` rows, given as ``LpModel.add_inequality`` takes them;
         zero coefficients are dropped. Only a model that ``grows``."""
-        coef = sparse.csr_array(np.atleast_2d(np.asarray(coefficients, dtype=float)))
-        rhs, idx = np.atleast_1d(np.asarray(rhs, dtype=float)), np.asarray(indices, dtype=np.int32)
-        self._highs.addRows(rhs.size, np.full(rhs.size, -np.inf), rhs, coef.nnz,
-                            coef.indptr[:-1].astype(np.int32), idx[coef.indices], coef.data)
+        coef = _finite("coefficients", np.atleast_2d(coefficients))
+        rhs, (r, k) = _finite("rhs", np.atleast_1d(rhs)), np.nonzero(coef)
+
+        def send(starts, cols, vals):
+            return self._highs.addRows(rhs.size, np.full(rhs.size, -np.inf), rhs, vals.size,
+                                       starts, cols, vals)
+
+        _send_rows(send, r, np.asarray(indices, dtype=np.int32)[k], coef[r, k], rhs.size,
+                   "the appended rows")
 
     def solve(self, b_eq) -> LpSolution:
-        c, A_eq, A_ub, b_ub, bounds = self._args
         h = self._highs
         if h is None:
-            return solve_arrays(c, A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub, bounds=bounds)
-        b_eq = np.array(b_eq, dtype=float)  # a copy: the caller may edit its array
+            return solve_arrays(b_eq=b_eq, **self._args)
+        b_eq = _finite("b_eq", np.array(b_eq, dtype=float))  # a copy: the caller may edit its array
+        if b_eq.shape != self._b_eq.shape:
+            raise ValueError(f"b_eq has {b_eq.size} entries for {self._b_eq.size} equality rows")
         for i in np.flatnonzero(b_eq != self._b_eq):  # HiGHS holds the last bounds
-            h.changeRowBounds(self._eq.start + int(i), b_eq[i], b_eq[i])
+            if h.changeRowBounds(self._eq.start + int(i), b_eq[i], b_eq[i]).name == "kError":
+                raise LpError("HiGHS rejected a row bound")
         self._b_eq = b_eq
         for presolve in ("on", "off"):  # as linprog, then solve_arrays' cold retry
             h.setOptionValue("presolve", presolve)
@@ -183,10 +230,7 @@ class ResolvableLp:
             raise LpError(f"LP solve failed: HiGHS status {name}{saved_note(self)}")
         if status != "optimal":
             return LpSolution(status, None, None, None, None)
-        sol, eq = h.getSolution(), self._eq
-        x, duals = np.array(sol.col_value), np.array(sol.row_dual)
-        ub_duals = np.delete(duals, eq) if duals.size > eq.stop - eq.start else None
-        return LpSolution("optimal", x, h.getObjectiveValue(), duals[eq], ub_duals)
+        return _HeldSolution(h.getSolution(), h.getObjectiveValue(), self._eq)
 
     def write(self) -> Optional[str]:
         """Save the model as it stands to a new ``.mps`` file; its path, or None."""

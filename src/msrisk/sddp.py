@@ -382,7 +382,7 @@ class BoundIteration:
                 own = (r.A.tobytes(), r.c.tobytes())
                 if own not in live:
                     live[own] = ResolvableLp(*arrays([j], x_prev))
-                sol = live[own].solve(np.r_[r.b - r.E @ x_prev, b_tail])
+                sol = live[own].solve(np.concatenate([r.b - r.E @ x_prev, b_tail]))
                 if not sol.is_optimal:
                     raise RecourseError(
                         f"stage {t}, scenario {j}: upper envelope LP is "

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import msrisk.lp
 from msrisk.dr import MomentAmbiguitySet, worst_case_arsrm
@@ -278,3 +279,208 @@ def test_an_lp_linprog_gives_up_on_is_saved(monkeypatch):
     h = read_saved(str(err.value))
     h.run()
     assert abs(h.getObjectiveValue() - want) <= 1e-9 * max(1.0, abs(want))
+
+
+def needs_highs():
+    if msrisk.lp._HIGHS is None:
+        pytest.skip("scipy ships no HiGHS bindings to hold a model")
+
+
+def matrix_case(kind, rng):
+    """An LP ``(c, A_eq, b_eq, A_ub, b_ub)`` over 6 columns in [0, 1] whose
+    matrices are laid out as ``kind`` names; feasible and bounded."""
+    n = 6
+    A_eq, A_ub = rng.normal(size=(3, n)), rng.normal(size=(2, n))
+    if kind == "empty row":
+        A_eq[1], A_ub[0] = 0.0, 0.0
+    if kind == "duplicates":  # the (1, 2) entry given five more times, rows still in order
+        t, extra = sparse.coo_array(A_eq), [0.1, 0.2, 0.3, 1e-17, -0.7]
+        at = np.searchsorted(t.row, 2)
+        rows, cols = np.insert(t.row, at, [1] * 5), np.insert(t.col, at, [2] * 5)
+        A_eq = sparse.coo_array((np.insert(t.data, at, extra), (rows, cols)), shape=(3, n))
+    if kind == "unordered":  # triplets in reverse row order, each column used once
+        t = sparse.coo_array(A_eq * (np.arange(n) // 2 == np.arange(3)[:, None]))
+        A_eq = sparse.coo_array((t.data[::-1], (t.row[::-1], t.col[::-1])), shape=t.shape)
+    x = rng.uniform(0.2, 0.8, size=n)
+    c, b_eq, b_ub = rng.normal(size=n), A_eq @ x, A_ub @ x + 0.5
+    if kind == "equality only":
+        return c, A_eq, b_eq, None, None
+    if kind == "<= only":
+        return c, None, None, A_ub, b_ub
+    return c, A_eq, b_eq, A_ub, b_ub
+
+
+MATRIX_CASES = ["both families", "equality only", "<= only", "empty row", "duplicates", "unordered"]
+
+
+def stacked(A_ub, A_eq, n):
+    """linprog's row layout ``[A_ub; A_eq]`` as a CSC matrix."""
+    blocks = [sparse.coo_array(a) for a in (A_ub, A_eq) if a is not None]
+    return sparse.csc_array(sparse.vstack(blocks) if blocks else (0, n))
+
+
+def held_matrix(lp):
+    a = lp._highs.getLp().a_matrix_
+    assert a.format_.name == "kColwise"
+    return np.array(a.start_), np.array(a.index_), np.array(a.value_)
+
+
+@pytest.mark.parametrize("kind", MATRIX_CASES)
+def test_the_held_matrix_is_scipys_csc_layout(kind):
+    needs_highs()
+    c, A_eq, b_eq, A_ub, b_ub = matrix_case(kind, np.random.default_rng(11))
+    want = stacked(A_ub, A_eq, c.size)
+    starts, rows, values = held_matrix(ResolvableLp(c, A_eq, b_eq, A_ub, b_ub, bounds=(0, 1)))
+    np.testing.assert_array_equal(starts, want.indptr)
+    np.testing.assert_array_equal(rows, want.indices)
+    assert values.tobytes() == want.data.tobytes()  # duplicates summed in scipy's order
+
+
+def test_duplicates_among_many_are_summed_in_input_order():
+    needs_highs()
+    # 300 triplets on 12 entries, out of row order: their sums depend on the order
+    rng = np.random.default_rng(5)
+    rows, cols = rng.integers(0, 3, size=300), rng.integers(0, 4, size=300)
+    values = rng.normal(size=300) * 10.0 ** rng.integers(-8, 8, size=300)
+    sums = {}
+    for entry in zip(cols, rows, values):
+        sums[entry[:2]] = sums[entry[:2]] + entry[2] if entry[:2] in sums else entry[2]
+    A = sparse.coo_array((values, (rows, cols)), shape=(3, 4))
+    lp = ResolvableLp(np.ones(4), None, None, A_ub=A, b_ub=np.ones(3))
+    starts, held_rows, held = held_matrix(lp)
+    np.testing.assert_array_equal(starts, [0, 3, 6, 9, 12])
+    np.testing.assert_array_equal(held_rows, [row for _, row in sorted(sums)])
+    assert held.tolist() == [sums[entry] for entry in sorted(sums)]
+
+
+@pytest.mark.parametrize("highs", [True, False])
+@pytest.mark.parametrize("kind", MATRIX_CASES)
+def test_each_held_layout_solves_as_solve_arrays(kind, highs, monkeypatch):
+    if not highs:
+        monkeypatch.setattr(msrisk.lp, "_HIGHS", None)
+    c, A_eq, b_eq, A_ub, b_ub = matrix_case(kind, np.random.default_rng(11))
+    want = solve_arrays(c, A_eq, b_eq, A_ub, b_ub, bounds=(0, 1))
+    sol = ResolvableLp(c, A_eq, b_eq, A_ub, b_ub, bounds=(0, 1)).solve(
+        b_eq if b_eq is not None else [])
+    assert sol.is_optimal and want.is_optimal
+    assert abs(sol.objective - want.objective) <= 1e-9
+    np.testing.assert_allclose(sol.x, want.x, atol=1e-9)
+    if A_eq is not None:
+        np.testing.assert_allclose(sol.eq_duals, want.eq_duals, atol=1e-9)
+    if A_ub is not None:
+        np.testing.assert_allclose(sol.ineq_duals, want.ineq_duals, atol=1e-9)
+
+
+def test_a_grown_model_holds_what_a_cold_build_holds():
+    needs_highs()
+    c, A_eq, b_eq, A_ub, b_ub = matrix_case("both families", np.random.default_rng(2))
+    live = ResolvableLp(c, A_eq, b_eq, A_ub, b_ub, bounds=(0, 1))
+    live.solve(b_eq)
+    cols, block = np.array([4, 0, 2]), np.array([[1.0, 0.0, -2.0], [0.5, 0.25, 3.0]])
+    live.add_inequalities(cols, block, [1.0, 2.0])
+    live.add_inequalities([5, 1, 5], [1.0, -1.0, 2.0], 0.5)  # column 5 twice: summed
+    grown = np.zeros((3, c.size))
+    grown[:2, cols], grown[2, [5, 1]] = block, [3.0, -1.0]
+    # the cold build of the grown arrays, its rows in the grown model's order
+    cold = ResolvableLp(c, None, None, np.vstack([A_ub, A_eq, grown]),
+                        np.r_[b_ub, b_eq, 1.0, 2.0, 0.5], bounds=(0, 1))
+    for got, want in zip(held_matrix(live), held_matrix(cold)):
+        assert got.tobytes() == want.tobytes()
+    held = live._highs.getLp()
+    assert held.row_lower_ == [-np.inf] * 2 + list(b_eq) + [-np.inf] * 3
+    assert held.row_upper_ == list(np.r_[b_ub, b_eq, 1.0, 2.0, 0.5])
+    sol = live.solve(b_eq)
+    want = solve_arrays(c, A_eq, b_eq, np.vstack([A_ub, grown]), np.r_[b_ub, 1.0, 2.0, 0.5],
+                        bounds=(0, 1))
+    assert abs(sol.objective - want.objective) <= 1e-9
+    np.testing.assert_allclose(sol.ineq_duals, want.ineq_duals, atol=1e-9)
+
+
+@pytest.mark.parametrize("highs", [True, False])
+def test_a_solution_read_after_a_resolve_keeps_its_own_values(highs, monkeypatch):
+    if not highs:
+        monkeypatch.setattr(msrisk.lp, "_HIGHS", None)
+    # min -x - y  s.t.  x - y = b,  x + y <= 4,  x, y >= 0: x = 2 + b/2, y = 2 - b/2
+    live = ResolvableLp(np.array([-1.0, -1.0]), np.array([[1.0, -1.0]]), np.array([0.0]),
+                        A_ub=np.array([[1.0, 1.0]]), b_ub=np.array([4.0]))
+    first = live.solve(np.array([2.0]))
+    second = live.solve(np.array([-1.0]))
+    np.testing.assert_allclose(first.x, [3.0, 1.0], atol=1e-9)
+    np.testing.assert_allclose(second.x, [1.5, 2.5], atol=1e-9)
+    for sol in (first, second):
+        assert abs(sol.eq_duals[0]) < 1e-9 and abs(sol.ineq_duals[0] + 1.0) < 1e-9
+
+
+def one_row_lp():
+    # min x + y  s.t.  x + y = b: the objective is b
+    return ResolvableLp(np.array([1.0, 1.0]), np.array([[1.0, 1.0]]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("highs", [True, False])
+@pytest.mark.parametrize("b_eq", [[2.0, 5.0, 7.0], []])
+def test_a_rhs_of_the_wrong_length_is_rejected(b_eq, highs, monkeypatch):
+    if not highs:
+        monkeypatch.setattr(msrisk.lp, "_HIGHS", None)
+    live = one_row_lp()
+    message = f"{len(b_eq)} entries for 1 equality rows" if highs else None
+    with pytest.raises(ValueError, match=message):
+        live.solve(np.array(b_eq))
+    assert live.solve(np.array([2.0])).objective == pytest.approx(2.0, abs=1e-12)
+
+
+def non_finite_case(kind):
+    """``(lp arrays, rhs to solve at)`` with one inf or nan entry where ``kind`` says."""
+    c, A, b = np.array([1.0, 2.0]), np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([1.0, 0.5])
+    A_ub, b_ub = np.array([[1.0, 0.0]]), np.array([3.0])
+    if kind == "cost":
+        c[1] = np.inf
+    elif kind == "matrix entry":
+        A[1, 1] = np.nan
+    elif kind == "b_ub":
+        b_ub[0] = np.inf
+    solve_at = b.copy()
+    if kind == "b_eq":
+        solve_at[0] = np.nan
+    return (c, A, b, A_ub, b_ub), solve_at
+
+
+NON_FINITE = ["cost", "matrix entry", "b_eq", "b_ub"]
+
+
+@pytest.mark.parametrize("highs", [True, False])
+@pytest.mark.parametrize("kind", NON_FINITE)
+def test_non_finite_data_is_rejected_as_linprog_rejects_it(kind, highs, monkeypatch):
+    if not highs:
+        monkeypatch.setattr(msrisk.lp, "_HIGHS", None)
+    arrays, solve_at = non_finite_case(kind)
+    with pytest.raises(ValueError, match="must not contain values inf"):
+        ResolvableLp(*arrays).solve(solve_at)
+
+
+@pytest.mark.parametrize("highs", [True, False])
+@pytest.mark.parametrize("row", [([1.0, np.nan], 1.0), ([1.0, 1.0], np.inf)])
+def test_non_finite_appended_rows_are_rejected(row, highs, monkeypatch):
+    (c, A, b, A_ub, b_ub), _ = non_finite_case(None)
+    coefficients, rhs = row
+    if highs:
+        needs_highs()
+        live = ResolvableLp(c, A, b, A_ub, b_ub)
+        with pytest.raises(ValueError, match="must not contain values inf"):
+            live.add_inequalities([0, 1], coefficients, rhs)
+        assert live.solve(b).is_optimal  # the model is left as it was
+        assert live._highs.getLp().num_row_ == 3
+    else:  # without the HiGHS class a model cannot grow: its rebuild is rejected
+        with pytest.raises(ValueError, match="must not contain values inf"):
+            solve_arrays(c, A, b, np.vstack([A_ub, coefficients]), np.r_[b_ub, rhs])
+
+
+def test_data_highs_rejects_raises_lp_error():
+    needs_highs()
+    # HiGHS refuses matrix values of 1e15 and more
+    with pytest.raises(LpError, match="HiGHS rejected the model"):
+        ResolvableLp(np.array([1.0, 1.0]), np.array([[1e16, 1.0]]), np.array([1.0]))
+    live = one_row_lp()
+    with pytest.raises(LpError, match="HiGHS rejected the appended rows"):
+        live.add_inequalities([0, 1], [1e16, 1.0], 3.0)
+    assert live._highs.getLp().num_row_ == 1
+    assert live.solve(np.array([2.0])).objective == pytest.approx(2.0, abs=1e-12)

@@ -2,13 +2,17 @@
 
 Builds the criterion-5 instance (10 stages, K=10 scenarios, 4 assets,
 instance seed 2024), runs one engine for 100 iterations with the acceptance
-test's options, and reports the wall time of the half, of the per-iteration
-upper sweeps and of the final refresh (the last sweep, over every visited
-state). Per pass it also counts the envelope work, which does not depend on
-the machine: block-diagonal LPs solved through ``solve_arrays`` and the live
-envelope models built and re-solved inside ``_envelope_values``. It also
-reports the set-up, the instance build plus the engine's construction: its
-wall time and the feasibility LPs that the moment sets solve in it.
+test's options, and reports the wall time of the half and of its four
+passes: forward, backward, the per-iteration upper sweeps and the final
+refresh (the last sweep, over every visited state). Within each pass it
+splits the held-model LP time (``ResolvableLp`` builds, appended rows and
+solves) into HiGHS ``run`` and the rest of the LP layer (assembly, appends
+and the wrapper around HiGHS). Per pass it also counts the envelope work,
+which does not depend on the machine: block-diagonal LPs solved through
+``solve_arrays`` and the live envelope models built and re-solved inside
+``_envelope_values``. It also reports the set-up, the instance build plus
+the engine's construction: its wall time and the feasibility LPs that the
+moment sets solve in it.
 
 Run from the repository root:
 
@@ -17,8 +21,9 @@ Run from the repository root:
     PYTHONPATH=src python3 tools/envelope_split.py --summary >> "$GITHUB_STEP_SUMMARY"
 
 The default output is one JSON object; ``--summary`` prints one Markdown line.
-The counting wraps module attributes only, so it costs little and runs on any
-commit that has ``BoundIteration._envelope_values``.
+The counting wraps module and class attributes only, so it costs little and
+runs on any commit that has ``BoundIteration._envelope_values``; without
+scipy's HiGHS class the ``run`` split reads 0.
 """
 
 from __future__ import annotations
@@ -48,12 +53,13 @@ CONFIG = dict(
     seed=2024,
 )
 COUNTS = ("block_lps", "live_builds", "live_solves")
+PASSES = ("forward", "backward", "sweeps", "refresh")
 
 
 def counted_engine(engine, iterations):
     """The engine on the criterion-5 instance, a dict of per-pass counts and
-    times that its ``upper_sweep`` calls fill in, and the set-up's seconds
-    and moment-set LPs."""
+    times that its passes fill in, and the set-up's seconds and moment-set
+    LPs."""
     setup = {"s": 0.0, "lps": 0}
     moment_lp = msrisk.dr.solve_arrays
 
@@ -73,33 +79,43 @@ def counted_engine(engine, iterations):
         eng = DrSddp(inst.lattice, inst.ambiguities, options=options)
     setup["s"] = time.perf_counter() - t0
     msrisk.dr.solve_arrays = moment_lp
-    passes = {p: dict.fromkeys(("s", *COUNTS), 0) for p in ("sweeps", "refresh")}
-    now = {"pass": None, "envelope": False}
+    passes = {p: dict.fromkeys(("s", "held_lp_s", "held_run_s", *COUNTS), 0) for p in PASSES}
+    now = {"pass": None, "envelope": False, "held": False}
 
     def bump(name):
         if now["envelope"]:
             passes[now["pass"]][name] += 1
 
-    block, live_init, live_solve = (
-        msrisk.sddp.solve_arrays, msrisk.lp.ResolvableLp.__init__, msrisk.lp.ResolvableLp.solve
-    )
+    def timed(fn, key, count=None, flag=None):
+        """``fn``, adding its wall time to the current pass's ``key``."""
+        def wrapper(*args, **kwargs):
+            if count is not None:
+                bump(count)
+            if now["pass"] is None or (flag is not None and not now[flag]):
+                return fn(*args, **kwargs)
+            t0 = time.perf_counter()
+            outer, now["held"] = now["held"], True
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                now["held"] = outer
+                passes[now["pass"]][key] += time.perf_counter() - t0
+        return wrapper
+
+    block = msrisk.sddp.solve_arrays
 
     def counted_block(*arrays):
         bump("block_lps")
         return block(*arrays)
 
-    def counted_init(lp, *args, **kwargs):
-        bump("live_builds")
-        live_init(lp, *args, **kwargs)
-
-    def counted_solve(lp, b_eq):
-        bump("live_solves")
-        return live_solve(lp, b_eq)
-
     msrisk.sddp.solve_arrays = counted_block
-    msrisk.lp.ResolvableLp.__init__ = counted_init
-    msrisk.lp.ResolvableLp.solve = counted_solve
-    envelope, sweep = eng._envelope_values, eng.upper_sweep
+    held = msrisk.lp.ResolvableLp
+    held.__init__ = timed(held.__init__, "held_lp_s", "live_builds")
+    held.add_inequalities = timed(held.add_inequalities, "held_lp_s")
+    held.solve = timed(held.solve, "held_lp_s", "live_solves")
+    if msrisk.lp._HIGHS is not None:  # HiGHS run inside the held-model calls only
+        msrisk.lp._HIGHS.run = timed(msrisk.lp._HIGHS.run, "held_run_s", flag="held")
+    envelope = eng._envelope_values
 
     def in_envelope(*args):
         now["envelope"] = True
@@ -108,15 +124,23 @@ def counted_engine(engine, iterations):
         finally:
             now["envelope"] = False
 
-    def timed_sweep(states=None):
-        now["pass"] = "refresh" if states is None else "sweeps"
-        t0 = time.perf_counter()
-        try:
-            return sweep(states)
-        finally:
-            passes[now["pass"]]["s"] += time.perf_counter() - t0
+    def in_pass(fn, name_of):
+        def wrapper(*args):
+            now["pass"] = name_of(*args)
+            t0 = time.perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                passes[now["pass"]]["s"] += time.perf_counter() - t0
+                now["pass"] = None
+        return wrapper
 
-    eng._envelope_values, eng.upper_sweep = in_envelope, timed_sweep
+    eng._envelope_values = in_envelope
+    eng.forward_pass = in_pass(eng.forward_pass, lambda: "forward")
+    eng.backward_pass = in_pass(eng.backward_pass, lambda states: "backward")
+    eng.upper_sweep = in_pass(
+        eng.upper_sweep, lambda states=None: "refresh" if states is None else "sweeps"
+    )
     return eng, passes, setup
 
 
@@ -132,9 +156,14 @@ def main(argv=None):
     half = time.perf_counter() - t0
     if args.summary:
         sweeps, refresh = passes["sweeps"], passes["refresh"]
+        split = ", ".join(
+            f"{p} {v['s']:.1f} s (held LPs: HiGHS run {v['held_run_s']:.2f} s,"
+            f" rest {v['held_lp_s'] - v['held_run_s']:.2f} s)"
+            for p, v in passes.items()
+        )
         print(
             f"Criterion-5 {args.engine} half ({args.iterations} iterations): {half:.1f} s;"
-            f" upper sweeps {sweeps['s']:.1f} s, final refresh {refresh['s']:.1f} s;"
+            f" {split};"
             f" block envelope LPs {sweeps['block_lps']} + {refresh['block_lps']},"
             f" live envelope solves {sweeps['live_solves']} + {refresh['live_solves']};"
             f" set-up {setup['s'] * 1e3:.0f} ms, moment-set LPs {setup['lps']}"
